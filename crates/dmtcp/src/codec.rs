@@ -65,12 +65,15 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a, 64-bit.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -79,23 +82,29 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// together with [`fnv1a`] to form the 128-bit content key of checkpoint
 /// store blocks (see [`crate::store`]).
 pub fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed.rotate_left(29);
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a_pair(seed, bytes).1
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Used as the
-/// per-block integrity check of the delta-checkpoint store: unlike the
-/// whole-file FNV trailer, a CRC per block localizes corruption to the
-/// exact (epoch, offset) that rotted on disk.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+/// `(fnv1a(bytes), fnv1a_seeded(seed, bytes))` in one pass over the
+/// bytes. The two multiply chains are independent, so they overlap in
+/// the pipeline and the pair costs little more than one stream.
+pub fn fnv1a_pair(seed: u64, bytes: &[u8]) -> (u64, u64) {
+    let mut plain = FNV_OFFSET;
+    let mut seeded = FNV_OFFSET ^ seed.rotate_left(29);
+    for &b in bytes {
+        plain = (plain ^ b as u64).wrapping_mul(FNV_PRIME);
+        seeded = (seeded ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    (plain, seeded)
+}
+
+/// Slice-by-8 lookup tables for [`crc32`]: `t[0]` is the classic bytewise
+/// table, and `t[k][i]` advances `t[k - 1][i]` by one more zero byte.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -106,11 +115,37 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             }
             *e = c;
         }
+        for k in 1..8 {
+            let (done, rest) = t.split_at_mut(k);
+            for (e, &prev) in rest[0].iter_mut().zip(&done[k - 1]) {
+                *e = done[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            }
+        }
         t
-    });
+    })
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8. Used as the
+/// per-block integrity check of the delta-checkpoint store: unlike the
+/// whole-file FNV trailer, a CRC per block localizes corruption to the
+/// exact (epoch, offset) that rotted on disk.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = crc32_tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -397,6 +432,58 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise CRC-32 the slice-by-8 kernel replaces.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let t = &crc32_tables()[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_bytewise_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..1024 + 8u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for off in 0..8 {
+            for len in 0..=1024 {
+                let s = &data[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {off}, length {len}");
+            }
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_bytewise_on_random_input(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1100),
+            off in 0usize..8,
+        ) {
+            let s = &data[off.min(data.len())..];
+            proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
+
+        #[test]
+        fn fnv1a_pair_is_both_streams(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let seeded = {
+                let mut hash = FNV_OFFSET ^ seed.rotate_left(29);
+                for &b in &data {
+                    hash ^= b as u64;
+                    hash = hash.wrapping_mul(FNV_PRIME);
+                }
+                hash
+            };
+            proptest::prop_assert_eq!(fnv1a_pair(seed, &data), (fnv1a(&data), seeded));
+            proptest::prop_assert_eq!(fnv1a_seeded(seed, &data), seeded);
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   an [`crate::coordinator::ImageSink`]. At the final rendezvous barrier
 //!   the round leader hands the complete set of [`RankImage`]s to the
 //!   writer's bounded queue (the double buffer) and every rank resumes
-//!   computing; a background thread performs the chunking, hashing and I/O.
+//!   computing; a background thread commits the epoch. Within a commit,
+//!   the chunking, hashing and compression of new blocks fan out over
+//!   [`StoreConfig::writer_threads`]; only block placement (offsets,
+//!   intra-epoch dedup) and the I/O stay serial.
 //! * **Deltas** — each section of each rank image is chunked into blocks
 //!   with *content-defined* boundaries (Gear rolling hash, FastCDC-style
 //!   min/max bounds), identified by a 128-bit content hash. An epoch
@@ -59,7 +62,10 @@
 //!   raw, LZ4, or byte-shuffled LZ4 (the classic 8-stride shuffle filter,
 //!   which groups the slowly-varying high bytes of `f64` lattice data
 //!   into long runs LZ4 can fold). The codec byte travels in the block
-//!   reference; v1 chains (raw-only) still decode.
+//!   reference; v1 chains (raw-only) still decode. Blocks are encoded on
+//!   the writer pool, before placement, for every key the chain head does
+//!   not already hold; the codec choice depends only on the block's
+//!   bytes, so the chain is byte-for-byte the same for any thread count.
 //! * **Dirty-segment tracking** ([`StoreConfig::dirty_tracking`]): image
 //!   sections may carry a producer generation stamp
 //!   ([`crate::image::RankImage::put_section_hinted`], fed by
@@ -96,7 +102,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use simnet::telemetry::Telemetry;
 
-use crate::codec::{crc32, fnv1a, fnv1a_seeded, CodecError, Reader, Writer};
+use crate::codec::{crc32, fnv1a_pair, CodecError, Reader, Writer};
 use crate::coordinator::ImageSink;
 use crate::image::{ImageError, RankImage, WorldImage};
 use crate::tier::{
@@ -119,6 +125,9 @@ const RANK_REC_MIN: usize = 32;
 const SECTION_REC_MIN: usize = 16;
 /// Blocks shorter than this are never worth a compression attempt.
 const MIN_COMPRESS_LEN: usize = 64;
+/// Upper bound on LZ4's decode ratio: one stored byte (an LSIC length
+/// extension) adds at most 255 bytes of match output.
+const LZ4_MAX_EXPANSION: u64 = 255;
 
 /// Per-block compression applied to newly written blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,9 +137,9 @@ pub enum Compression {
     /// Per block, keep the smallest of: raw, LZ4, byte-shuffled LZ4
     /// (the shuffle transposes the block's 8-aligned prefix — the `f64`
     /// shape — and passes the tail through; both candidates are tried
-    /// for every block ≥ 64 bytes, on the background writer's thread).
-    /// The choice is recorded in the block reference, so mixed chains
-    /// decode.
+    /// for every new block ≥ 64 bytes, on the commit's writer pool, see
+    /// [`StoreConfig::writer_threads`]). The choice is recorded in the
+    /// block reference, so mixed chains decode.
     #[default]
     Lz4,
 }
@@ -162,8 +171,9 @@ pub struct StoreConfig {
     /// Maximum consecutive delta epochs before a fresh full base is
     /// written (bounds restart chain length).
     pub max_chain: usize,
-    /// Threads used to chunk and hash rank images in parallel during a
-    /// commit.
+    /// Threads used during a commit to chunk, hash and compress rank
+    /// images in parallel (each thread takes a contiguous run of ranks).
+    /// The chain bytes do not depend on this.
     pub writer_threads: usize,
     /// Submit queue depth of the background writer (the double buffer):
     /// ranks block on submit only when this many epochs are already
@@ -390,11 +400,12 @@ struct BlockLoc {
 /// One chunked block of a section, before dedup placement.
 struct ChunkRec {
     key: BlockKey,
-    /// CRC32 of the raw chunk (valid as the stored CRC only when the
-    /// block lands uncompressed).
-    crc: u32,
     start: usize,
     len: usize,
+    /// The stored form, encoded on the writer pool for every block whose
+    /// key the chain head does not hold; `None` for a block the head
+    /// already references.
+    new: Option<EncodedBlock>,
 }
 
 /// A section's ordered block references inside a manifest.
@@ -564,8 +575,13 @@ fn shuffle8(data: &[u8]) -> Vec<u8> {
     let words = data.len() / 8;
     let cut = words * 8;
     let mut out = vec![0u8; data.len()];
-    for (i, &b) in data[..cut].iter().enumerate() {
-        out[(i % 8) * words + i / 8] = b;
+    if words > 0 {
+        // One sequential pass per output lane.
+        for (k, lane) in out[..cut].chunks_exact_mut(words).enumerate() {
+            for (o, word) in lane.iter_mut().zip(data.chunks_exact(8)) {
+                *o = word[k];
+            }
+        }
     }
     out[cut..].copy_from_slice(&data[cut..]);
     out
@@ -576,38 +592,54 @@ fn unshuffle8(data: &[u8]) -> Vec<u8> {
     let words = data.len() / 8;
     let cut = words * 8;
     let mut out = vec![0u8; data.len()];
-    for (i, o) in out[..cut].iter_mut().enumerate() {
-        *o = data[(i % 8) * words + i / 8];
+    if words > 0 {
+        for (k, lane) in data[..cut].chunks_exact(words).enumerate() {
+            for (word, &b) in out.chunks_exact_mut(8).zip(lane) {
+                word[k] = b;
+            }
+        }
     }
     out[cut..].copy_from_slice(&data[cut..]);
     out
 }
 
+/// A new block's stored form, as chosen by [`encode_block`].
+struct EncodedBlock {
+    codec: BlockCodec,
+    /// The stored bytes for compressed codecs; `None` means "store raw".
+    stored: Option<Vec<u8>>,
+    /// CRC32 of the bytes that land on disk.
+    crc: u32,
+}
+
 /// Pick the smallest stored form of a raw block under the configured
-/// compression. Returns the codec and, for compressed codecs, the stored
-/// bytes (`None` means "store raw"). Deterministic per content.
-fn encode_block(raw: &[u8], compression: Compression) -> (BlockCodec, Option<Vec<u8>>) {
-    if compression == Compression::None || raw.len() < MIN_COMPRESS_LEN {
-        return (BlockCodec::Raw, None);
+/// compression. Deterministic per content.
+fn encode_block(raw: &[u8], compression: Compression) -> EncodedBlock {
+    let mut codec = BlockCodec::Raw;
+    let mut stored: Option<Vec<u8>> = None;
+    if compression == Compression::Lz4 && raw.len() >= MIN_COMPRESS_LEN {
+        let lz = lz4_flex::compress(raw);
+        if lz.len() < raw.len() {
+            (codec, stored) = (BlockCodec::Lz4, Some(lz));
+        }
+        let sh = lz4_flex::compress(&shuffle8(raw));
+        if sh.len() < stored.as_ref().map_or(raw.len(), Vec::len) {
+            (codec, stored) = (BlockCodec::ShuffleLz4, Some(sh));
+        }
     }
-    let mut best = (BlockCodec::Raw, None);
-    let mut best_len = raw.len();
-    let lz = lz4_flex::compress(raw);
-    if lz.len() < best_len {
-        best_len = lz.len();
-        best = (BlockCodec::Lz4, Some(lz));
-    }
-    let sh = lz4_flex::compress(&shuffle8(raw));
-    if sh.len() < best_len {
-        best = (BlockCodec::ShuffleLz4, Some(sh));
-    }
-    best
+    let crc = crc32(stored.as_deref().unwrap_or(raw));
+    EncodedBlock { codec, stored, crc }
 }
 
 /// Decode one stored block back to its raw bytes. The stored slice has
 /// already passed its CRC, so any failure here means the manifest and
 /// the block bytes disagree — reported as corruption by the caller.
 fn decode_block<'a>(stored: &'a [u8], loc: &BlockLoc) -> Option<Cow<'a, [u8]>> {
+    // The decompressor reserves the claimed raw length up front: refuse a
+    // claim no LZ4 stream of this stored length could decode to.
+    if loc.raw_len as u64 > stored.len() as u64 * LZ4_MAX_EXPANSION {
+        return None;
+    }
     match loc.codec {
         BlockCodec::Raw => (loc.raw_len == loc.len).then_some(Cow::Borrowed(stored)),
         BlockCodec::Lz4 => {
@@ -1443,24 +1475,37 @@ impl DeltaStore {
         cuts
     }
 
-    /// Chunk one rank image's sections into hashed, CRC'd block records.
-    /// Sections named in `skip` (clean per their generation hints) are
-    /// passed through unchunked — not a byte of them is read here.
-    fn chunk_rank(img: &RankImage, block_size: usize, skip: &HashSet<String>) -> RankChunks {
+    /// Chunk one rank image's sections into hashed block records, and
+    /// encode every block whose key the chain head's `index` does not
+    /// hold. Sections named in `skip` (clean per their generation hints)
+    /// are passed through unchunked — not a byte of them is read here.
+    ///
+    /// A block repeated within the epoch may be encoded more than once
+    /// here; placement keeps the first occurrence, so the chain bytes do
+    /// not depend on how ranks are spread over the pool.
+    fn chunk_rank(
+        img: &RankImage,
+        skip: &HashSet<String>,
+        index: &HashMap<BlockKey, BlockLoc>,
+        config: &StoreConfig,
+    ) -> RankChunks {
         img.sections()
             .map(|(name, data)| {
                 if skip.contains(name) {
                     return (name.to_string(), None);
                 }
-                let recs = Self::cut_points(data, block_size)
+                let recs = Self::cut_points(data, config.block_size)
                     .into_iter()
                     .map(|(start, len)| {
                         let chunk = &data[start..start + len];
+                        let key = fnv1a_pair(0x5EED, chunk);
+                        let new = (!index.contains_key(&key))
+                            .then(|| encode_block(chunk, config.compression));
                         ChunkRec {
-                            key: (fnv1a(chunk), fnv1a_seeded(0x5EED, chunk)),
-                            crc: crc32(chunk),
+                            key,
                             start,
                             len,
+                            new,
                         }
                     })
                     .collect();
@@ -1537,17 +1582,18 @@ impl DeltaStore {
             })
             .collect();
 
-        // Chunk + hash every dirty section, fanned out over the writer
-        // pool (the CPU-heavy part; dedup placement below stays
-        // deterministic).
-        let block_size = self.config.block_size;
-        let threads = self.config.writer_threads.min(image.ranks.len()).max(1);
+        // Chunk, hash and encode every dirty section, fanned out over the
+        // writer pool (the CPU-heavy part). The head index is read-only
+        // here; dedup placement below stays serial and deterministic.
+        let config = &self.config;
+        let index = &self.index;
+        let threads = config.writer_threads.min(image.ranks.len()).max(1);
         let chunked: Vec<RankChunks> = if threads <= 1 {
             image
                 .ranks
                 .iter()
                 .zip(&skips)
-                .map(|(r, skip)| Self::chunk_rank(r, block_size, skip))
+                .map(|(r, skip)| Self::chunk_rank(r, skip, index, config))
                 .collect()
         } else {
             let per = image.ranks.len().div_ceil(threads);
@@ -1561,7 +1607,7 @@ impl DeltaStore {
                             slice
                                 .iter()
                                 .zip(skip_slice)
-                                .map(|(r, skip)| Self::chunk_rank(r, block_size, skip))
+                                .map(|(r, skip)| Self::chunk_rank(r, skip, index, config))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -1579,9 +1625,9 @@ impl DeltaStore {
         };
 
         // Deterministic dedup placement: walk ranks/sections/blocks in
-        // order, appending unseen content (under its winning codec) to
-        // this epoch's blocks file; skipped sections re-reference their
-        // previous refs untouched.
+        // order, appending unseen content (already encoded under its
+        // winning codec) to this epoch's blocks file; skipped sections
+        // re-reference their previous refs untouched.
         let mut blocks_buf: Vec<u8> = Vec::new();
         let mut blocks_total = 0u64;
         let mut blocks_new = 0u64;
@@ -1611,20 +1657,20 @@ impl DeltaStore {
                             let loc = match self.index.get(&rec.key) {
                                 Some(&loc) => loc,
                                 None => {
-                                    let raw = &data[rec.start..rec.start + rec.len];
-                                    let (codec, stored) =
-                                        encode_block(raw, self.config.compression);
-                                    let (stored_bytes, crc): (&[u8], u32) = match &stored {
-                                        Some(c) => (c, crc32(c)),
-                                        None => (raw, rec.crc),
-                                    };
+                                    // Absent now implies absent from the
+                                    // head index the pool consulted.
+                                    let enc = rec.new.expect("new block encoded on the pool");
+                                    let stored_bytes = enc
+                                        .stored
+                                        .as_deref()
+                                        .unwrap_or(&data[rec.start..rec.start + rec.len]);
                                     let loc = BlockLoc {
                                         epoch,
                                         offset: blocks_buf.len() as u64,
                                         len: stored_bytes.len() as u32,
                                         raw_len: rec.len as u32,
-                                        crc,
-                                        codec,
+                                        crc: enc.crc,
+                                        codec: enc.codec,
                                     };
                                     blocks_buf.extend_from_slice(stored_bytes);
                                     self.index.insert(rec.key, loc);
@@ -1817,21 +1863,21 @@ impl DeltaStore {
             }
             let mut img = RankImage::new(*rank, *nranks, *rank_epoch);
             for (name, blocks) in sections {
-                let total: usize = blocks.iter().map(|(_, l)| l.raw_len as usize).sum();
-                let mut data = Vec::with_capacity(total);
                 for (_, loc) in blocks {
-                    let file = match files.entry(loc.epoch) {
-                        std::collections::hash_map::Entry::Occupied(e) => &*e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            let dir = self.epoch_dir(loc.epoch);
-                            if !dir.is_dir() {
-                                return Err(StoreError::MissingEpoch { epoch: loc.epoch });
-                            }
-                            &*v.insert(Self::read_file(&dir.join("blocks.bin"))?)
+                    if let std::collections::hash_map::Entry::Vacant(v) = files.entry(loc.epoch) {
+                        let dir = self.epoch_dir(loc.epoch);
+                        if !dir.is_dir() {
+                            return Err(StoreError::MissingEpoch { epoch: loc.epoch });
                         }
-                    };
-                    let start = loc.offset as usize;
-                    let end = start + loc.len as usize;
+                        v.insert(Self::read_file(&dir.join("blocks.bin"))?);
+                    }
+                }
+                // Decode every block before sizing the section: the raw
+                // lengths in the manifest are claims (a hostile one can
+                // sum to terabytes under a valid trailer), so the section
+                // is allocated from what the verified blocks decode to.
+                let mut decoded = Vec::with_capacity(blocks.len());
+                for (_, loc) in blocks {
                     let corrupt = || StoreError::BlockCorrupt {
                         epoch,
                         src_epoch: loc.epoch,
@@ -1839,7 +1885,11 @@ impl DeltaStore {
                         rank: *rank,
                         section: name.clone(),
                     };
-                    let slice = file.get(start..end).ok_or_else(corrupt)?;
+                    let slice = usize::try_from(loc.offset)
+                        .ok()
+                        .and_then(|start| Some(start..start.checked_add(loc.len as usize)?))
+                        .and_then(|range| files[&loc.epoch].get(range))
+                        .ok_or_else(corrupt)?;
                     // CRC the stored bytes first, then decode them: a
                     // decode failure after a CRC pass means the manifest
                     // itself disagrees with the block — still corruption,
@@ -1847,10 +1897,9 @@ impl DeltaStore {
                     if crc32(slice) != loc.crc {
                         return Err(corrupt());
                     }
-                    let raw = decode_block(slice, loc).ok_or_else(corrupt)?;
-                    data.extend_from_slice(&raw);
+                    decoded.push(decode_block(slice, loc).ok_or_else(corrupt)?);
                 }
-                img.put_section(name, data);
+                img.put_section(name, decoded.concat());
             }
             ranks.push(img);
         }
@@ -3073,6 +3122,129 @@ mod tests {
                 Ok(_) => panic!("field {field}: hostile manifest decoded"),
             }
         }
+    }
+
+    #[test]
+    fn hostile_block_refs_under_a_valid_trailer_fail_as_corruption() {
+        // A manifest whose trailer is valid but whose block refs lie:
+        // raw lengths summing to terabytes must not size an allocation,
+        // and an offset near u64::MAX must not overflow. Both report the
+        // block as corrupt instead of aborting or panicking.
+        let blocks = fill_bytes(7, 64);
+        let crc = crc32(&blocks);
+        let load = |tag: &str, refs: Vec<(BlockKey, BlockLoc)>| {
+            let dir = tmp_dir(tag);
+            let epoch_dir = dir.join("epoch_000001");
+            std::fs::create_dir_all(&epoch_dir).unwrap();
+            let manifest = Manifest {
+                epoch: 1,
+                full: true,
+                vendor_hint: "MPICH".to_string(),
+                bytes_hashed: 0,
+                ranks: vec![(0, 1, 1, vec![("memory".to_string(), refs)])],
+            };
+            std::fs::write(epoch_dir.join("blocks.bin"), &blocks).unwrap();
+            std::fs::write(
+                epoch_dir.join("manifest.bin"),
+                manifest.encode(ManifestFormat::V2),
+            )
+            .unwrap();
+            let store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
+            assert_eq!(store.epochs(), &[1], "the hostile manifest decodes");
+            let result = store.load_epoch(1);
+            std::fs::remove_dir_all(&dir).unwrap();
+            result
+        };
+        let loc = BlockLoc {
+            epoch: 1,
+            offset: 0,
+            len: 64,
+            raw_len: u32::MAX,
+            crc,
+            codec: BlockCodec::Lz4,
+        };
+        let huge: Vec<_> = (0..1000u64).map(|i| ((i, i), loc)).collect();
+        assert!(matches!(
+            load("hostile_rawlen", huge),
+            Err(StoreError::BlockCorrupt { offset: 0, .. })
+        ));
+        let wrapping = BlockLoc {
+            offset: u64::MAX - 3,
+            len: 16,
+            raw_len: 16,
+            codec: BlockCodec::Raw,
+            ..loc
+        };
+        assert!(matches!(
+            load("hostile_offset", vec![((1, 1), wrapping)]),
+            Err(StoreError::BlockCorrupt { offset, .. }) if offset == u64::MAX - 3
+        ));
+    }
+
+    #[test]
+    fn shuffle_lanes_match_the_transposition_and_round_trip() {
+        // The index-formula transposition the lane-wise copies replace.
+        let reference = |data: &[u8]| {
+            let words = data.len() / 8;
+            let cut = words * 8;
+            let mut out = data.to_vec();
+            for (i, &b) in data[..cut].iter().enumerate() {
+                out[(i % 8) * words + i / 8] = b;
+            }
+            out
+        };
+        for len in 0..=80 {
+            let data = fill_bytes(len as u64 + 1, len);
+            let shuffled = shuffle8(&data);
+            assert_eq!(shuffled, reference(&data), "shuffle8, len {len}");
+            assert_eq!(unshuffle8(&shuffled), data, "round trip, len {len}");
+        }
+    }
+
+    #[test]
+    fn encoding_on_the_pool_is_independent_of_the_thread_count() {
+        // Each thread encodes the new blocks of its own ranks, so a block
+        // shared by ranks on different threads is encoded twice; the
+        // chain must still be byte-for-byte the single-thread chain.
+        let shared = |epoch: u64| {
+            let ranks = (0..4)
+                .map(|r| {
+                    let mut img = RankImage::new(r, 4, epoch);
+                    img.put_section("common", fill_bytes(epoch, 3000));
+                    img.put_section("own", fill_bytes(epoch << 8 | r as u64, 500));
+                    img
+                })
+                .collect();
+            WorldImage::new("MPICH".to_string(), ranks)
+        };
+        let commit_all = |tag: &str, writer_threads: usize| {
+            let dir = tmp_dir(tag);
+            let cfg = StoreConfig {
+                writer_threads,
+                retain_epochs: 16,
+                ..small_cfg()
+            };
+            let mut store = DeltaStore::open_with(&dir, cfg).unwrap();
+            for e in 1..=3 {
+                store
+                    .commit(&compressible_image(e, 4, e as u8, 4096))
+                    .unwrap();
+                store.commit(&image(e + 3, 4, e as u8, 900)).unwrap();
+                store.commit(&shared(e + 6)).unwrap();
+            }
+            let mut files = Vec::new();
+            for &e in store.epochs() {
+                for name in ["blocks.bin", "manifest.bin"] {
+                    files
+                        .push(std::fs::read(dir.join(format!("epoch_{e:06}")).join(name)).unwrap());
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            files
+        };
+        let serial = commit_all("pool_1", 1);
+        assert_eq!(commit_all("pool_2", 2), serial);
+        assert_eq!(commit_all("pool_4", 4), serial);
     }
 
     #[test]
