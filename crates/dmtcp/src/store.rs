@@ -62,10 +62,14 @@
 //!   raw, LZ4, or byte-shuffled LZ4 (the classic 8-stride shuffle filter,
 //!   which groups the slowly-varying high bytes of `f64` lattice data
 //!   into long runs LZ4 can fold). The codec byte travels in the block
-//!   reference; v1 chains (raw-only) still decode. Blocks are encoded on
-//!   the writer pool, before placement, for every key the chain head does
-//!   not already hold; the codec choice depends only on the block's
-//!   bytes, so the chain is byte-for-byte the same for any thread count.
+//!   reference; v1 chains (raw-only) still decode. Ties go to raw, then
+//!   LZ4, then shuffled LZ4. Shuffled LZ4 is tried first, bounded to
+//!   beat raw, then plain LZ4, bounded to tie or beat it; each attempt
+//!   stops as soon as it has lost, which picks exactly what compressing
+//!   both in full would. Blocks are encoded on the writer pool, before
+//!   placement, for every key the chain head does not already hold; the
+//!   codec choice depends only on the block's bytes, so the chain is
+//!   byte-for-byte the same for any thread count.
 //! * **Dirty-segment tracking** ([`StoreConfig::dirty_tracking`]): image
 //!   sections may carry a producer generation stamp
 //!   ([`crate::image::RankImage::put_section_hinted`], fed by
@@ -97,6 +101,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{Read, Write as IoWrite};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -136,10 +141,13 @@ pub enum Compression {
     None,
     /// Per block, keep the smallest of: raw, LZ4, byte-shuffled LZ4
     /// (the shuffle transposes the block's 8-aligned prefix — the `f64`
-    /// shape — and passes the tail through; both candidates are tried
-    /// for every new block ≥ 64 bytes, on the commit's writer pool, see
-    /// [`StoreConfig::writer_threads`]). The choice is recorded in the
-    /// block reference, so mixed chains decode.
+    /// shape — and passes the tail through). Ties go to raw, then LZ4,
+    /// then shuffled LZ4. Every new block ≥ 64 bytes is encoded on the
+    /// commit's writer pool (see [`StoreConfig::writer_threads`]):
+    /// shuffled LZ4 first, bounded to beat raw, then plain LZ4, bounded
+    /// to tie or beat it, each attempt stopping as soon as it has lost.
+    /// The choice is recorded in the block reference, so mixed chains
+    /// decode.
     #[default]
     Lz4,
 }
@@ -248,6 +256,10 @@ pub enum StoreError {
     Empty,
     /// The background writer was shut down.
     Closed,
+    /// A commit panicked on the background writer (the panic message).
+    /// The lane stops committing; the chain on disk keeps its last
+    /// complete epoch.
+    CommitPanicked(String),
     /// A remote-tier operation failed (upload, listing, or a fetched
     /// object that failed its seal verification).
     Tier(TierError),
@@ -290,6 +302,7 @@ impl fmt::Display for StoreError {
             StoreError::InconsistentImage(m) => write!(f, "inconsistent world image: {m}"),
             StoreError::Empty => write!(f, "checkpoint store holds no epochs"),
             StoreError::Closed => write!(f, "checkpoint store writer is shut down"),
+            StoreError::CommitPanicked(m) => write!(f, "checkpoint store commit panicked: {m}"),
             StoreError::Tier(e) => write!(f, "remote tier: {e}"),
             StoreError::NoTier => write!(f, "no remote tier attached to the store"),
             StoreError::TenantMismatch {
@@ -603,6 +616,11 @@ fn unshuffle8(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Test hook: committing a section of this name panics on the writer
+/// pool, the way an encoder bug would.
+#[cfg(test)]
+const PANIC_SECTION: &str = "__panic_on_commit";
+
 /// A new block's stored form, as chosen by [`encode_block`].
 struct EncodedBlock {
     codec: BlockCodec,
@@ -612,19 +630,33 @@ struct EncodedBlock {
     crc: u32,
 }
 
+/// LZ4-compress `input` if the block fits in `bound` bytes. The attempt
+/// stops as soon as the output passes the bound.
+fn lz4_within(input: &[u8], bound: usize) -> Option<Vec<u8>> {
+    let mut out = vec![0u8; bound];
+    let len = lz4_flex::block::compress_into(input, &mut out).ok()?;
+    out.truncate(len);
+    Some(out)
+}
+
 /// Pick the smallest stored form of a raw block under the configured
-/// compression. Deterministic per content.
+/// compression; ties go to raw, then LZ4, then shuffled LZ4.
+/// Deterministic per content.
+///
+/// Shuffled LZ4 wins most blocks of `f64` state, so it is tried first,
+/// bounded to beat raw; plain LZ4 then only has to tie it. Each bounded
+/// attempt gives up as soon as it has lost, which chooses exactly what
+/// compressing both in full and comparing lengths would.
 fn encode_block(raw: &[u8], compression: Compression) -> EncodedBlock {
     let mut codec = BlockCodec::Raw;
     let mut stored: Option<Vec<u8>> = None;
     if compression == Compression::Lz4 && raw.len() >= MIN_COMPRESS_LEN {
-        let lz = lz4_flex::compress(raw);
-        if lz.len() < raw.len() {
+        let sh = lz4_within(&shuffle8(raw), raw.len() - 1);
+        let lz_bound = sh.as_ref().map_or(raw.len() - 1, Vec::len);
+        if let Some(lz) = lz4_within(raw, lz_bound) {
             (codec, stored) = (BlockCodec::Lz4, Some(lz));
-        }
-        let sh = lz4_flex::compress(&shuffle8(raw));
-        if sh.len() < stored.as_ref().map_or(raw.len(), Vec::len) {
-            (codec, stored) = (BlockCodec::ShuffleLz4, Some(sh));
+        } else if sh.is_some() {
+            (codec, stored) = (BlockCodec::ShuffleLz4, sh);
         }
     }
     let crc = crc32(stored.as_deref().unwrap_or(raw));
@@ -1494,6 +1526,10 @@ impl DeltaStore {
                 if skip.contains(name) {
                     return (name.to_string(), None);
                 }
+                #[cfg(test)]
+                if name == PANIC_SECTION {
+                    panic!("encoder panic forced by the test hook");
+                }
                 let recs = Self::cut_points(data, config.block_size)
                     .into_iter()
                     .map(|(start, len)| {
@@ -1614,7 +1650,8 @@ impl DeltaStore {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("chunker thread"))
+                    // Re-raise a pool thread's panic with its own message.
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                     .collect()
             });
             let mut all = Vec::with_capacity(image.ranks.len());
@@ -2084,7 +2121,13 @@ impl SharedStoreWriter {
             // (their bytes stay accounted until the commit finishes).
             shared.cv.notify_all();
             let image_bytes = image.total_bytes() as u64;
-            let result = stores[lane].commit(&image);
+            // An uncaught panic would end this thread with the lane still
+            // in flight, and every waiter on it would block forever: fail
+            // the lane as an error would.
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| stores[lane].commit(&image)))
+                .unwrap_or_else(|payload| {
+                    Err(StoreError::CommitPanicked(panic_message(&*payload)))
+                });
             if result.is_err() {
                 // A failing sink is a flight-recorder incident: record it
                 // before the error goes sticky so the session's crash
@@ -2109,6 +2152,12 @@ impl SharedStoreWriter {
             match result {
                 Ok(s) => l.stats.push(s),
                 Err(e) => {
+                    if matches!(e, StoreError::CommitPanicked(_)) {
+                        // The panic may have left this store half-updated:
+                        // commit nothing more on its lane.
+                        l.queue.clear();
+                        l.queued_bytes = 0;
+                    }
                     l.error.get_or_insert(e);
                 }
             }
@@ -2233,6 +2282,17 @@ impl SharedStoreWriter {
         }
         let handle = self.worker.lock().expect("worker lock").take()?;
         Some(handle.join().expect("store writer thread"))
+    }
+}
+
+/// The message a panic carried, for [`StoreError::CommitPanicked`].
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(m) = payload.downcast_ref::<&str>() {
+        m.to_string()
+    } else if let Some(m) = payload.downcast_ref::<String>() {
+        m.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -2662,6 +2722,48 @@ mod tests {
         let err = writer.submit(image(3, 2, 0x13, 100)).unwrap_err();
         assert!(matches!(err, StoreError::InconsistentImage(_)));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_commit_fails_its_lane_and_spares_the_others() {
+        let dirs = [tmp_dir("panic_lane0"), tmp_dir("panic_lane1")];
+        let stores = dirs
+            .iter()
+            .map(|d| {
+                let store = DeltaStore::open_with(d, small_cfg()).unwrap();
+                (store, TenantQuota::default())
+            })
+            .collect();
+        let writer = Arc::new(SharedStoreWriter::spawn_stores(stores));
+        let mut doomed = image(1, 2, 0x11, 300);
+        doomed.ranks[1].put_section(PANIC_SECTION, vec![1; 64]);
+        writer.submit(0, doomed).unwrap();
+        // Flush from a helper thread so a regression fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let w = writer.clone();
+        std::thread::spawn(move || tx.send(w.flush_lane(0)).unwrap());
+        let flushed = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("flush_lane blocked on a panicked commit");
+        assert!(
+            matches!(&flushed, Err(StoreError::CommitPanicked(m)) if m.contains("test hook")),
+            "{flushed:?}"
+        );
+        assert!(matches!(
+            writer.submit(0, image(2, 2, 0x12, 300)),
+            Err(StoreError::CommitPanicked(_))
+        ));
+        // The other lane keeps committing on the same writer.
+        writer.submit(1, image(1, 2, 0x21, 300)).unwrap();
+        writer.flush_lane(1).unwrap();
+        assert_eq!(writer.lane_stats(1).len(), 1);
+        assert!(writer.lane_stats(0).is_empty());
+        let stores = Arc::into_inner(writer).unwrap().finish().unwrap();
+        assert_eq!(stores[1].load_latest().unwrap(), image(1, 2, 0x21, 300));
+        for d in &dirs {
+            std::fs::remove_dir_all(d).unwrap();
+        }
     }
 
     #[test]
@@ -3245,6 +3347,95 @@ mod tests {
         let serial = commit_all("pool_1", 1);
         assert_eq!(commit_all("pool_2", 2), serial);
         assert_eq!(commit_all("pool_4", 4), serial);
+    }
+
+    /// The codec rule before bounded attempts: compress both candidates
+    /// in full, keep LZ4 if it beats raw, then shuffled LZ4 if it beats
+    /// the best so far.
+    fn encode_block_two_full_attempts(raw: &[u8], compression: Compression) -> EncodedBlock {
+        let mut codec = BlockCodec::Raw;
+        let mut stored: Option<Vec<u8>> = None;
+        if compression == Compression::Lz4 && raw.len() >= MIN_COMPRESS_LEN {
+            let lz = lz4_flex::compress(raw);
+            if lz.len() < raw.len() {
+                (codec, stored) = (BlockCodec::Lz4, Some(lz));
+            }
+            let sh = lz4_flex::compress(&shuffle8(raw));
+            if sh.len() < stored.as_ref().map_or(raw.len(), Vec::len) {
+                (codec, stored) = (BlockCodec::ShuffleLz4, Some(sh));
+            }
+        }
+        let crc = crc32(stored.as_deref().unwrap_or(raw));
+        EncodedBlock { codec, stored, crc }
+    }
+
+    #[test]
+    fn bounded_encode_block_chooses_what_two_full_attempts_chose() {
+        let lattice = |seed: u64, len: usize| -> Vec<u8> {
+            (0..len.div_ceil(8))
+                .flat_map(|i| (1.0 + (i as f64 + seed as f64) * 1e-3).sin().to_le_bytes())
+                .take(len)
+                .collect()
+        };
+        // A 100-byte phrase repeated: plain LZ4 folds it at offset 100,
+        // while the shuffle spreads each period over eight lanes.
+        let phrase = |seed: u64, len: usize| -> Vec<u8> {
+            fill_bytes(seed, 100)
+                .into_iter()
+                .cycle()
+                .take(len)
+                .collect()
+        };
+        let half_and_half = |seed: u64, len: usize| -> Vec<u8> {
+            let mut v = lattice(seed, len / 2);
+            v.extend(fill_bytes(seed, len - len / 2));
+            v
+        };
+        let mut wins = [0usize; 3];
+        for len in [0usize, 1, 63, 64, 65, 100, 257, 1000, 4096, 4099, 16_384] {
+            for seed in 1..=4u64 {
+                let corpus = [
+                    fill_bytes(seed, len),
+                    lattice(seed, len),
+                    phrase(seed, len),
+                    vec![seed as u8; len],
+                    half_and_half(seed, len),
+                ];
+                for raw in corpus {
+                    for compression in [Compression::Lz4, Compression::None] {
+                        let got = encode_block(&raw, compression);
+                        let want = encode_block_two_full_attempts(&raw, compression);
+                        assert_eq!(
+                            (got.codec, &got.stored, got.crc),
+                            (want.codec, &want.stored, want.crc),
+                            "len {len} seed {seed} {compression:?}"
+                        );
+                        if compression == Compression::Lz4 {
+                            wins[got.codec.to_u8() as usize] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            wins.iter().all(|&w| w > 0),
+            "every codec wins somewhere: {wins:?}"
+        );
+        // Plain LZ4 wins outright on the repeated phrase...
+        let p = phrase(1, 4096);
+        assert!(lz4_flex::compress(&p).len() < lz4_flex::compress(&shuffle8(&p)).len());
+        assert_eq!(encode_block(&p, Compression::Lz4).codec, BlockCodec::Lz4);
+        // ...and keeps the tie on a constant block, where the shuffle is
+        // the identity and both candidates are the same bytes.
+        let constant = vec![0x42u8; 4096];
+        assert_eq!(
+            lz4_flex::compress(&constant),
+            lz4_flex::compress(&shuffle8(&constant))
+        );
+        assert_eq!(
+            encode_block(&constant, Compression::Lz4).codec,
+            BlockCodec::Lz4
+        );
     }
 
     #[test]
