@@ -2,31 +2,34 @@
 //! rendezvous, and the vendor stacks at 64…1024 ranks.
 //!
 //! As a side effect (in both `cargo bench` and `--test` smoke mode) this
-//! bench emits `BENCH_scale.json` at the workspace root so CI records the
-//! scale trajectory and `benchgate` can compare it against the committed
-//! baselines:
+//! bench emits the `BENCH_scale.json` report at the workspace root so CI
+//! records the scale trajectory and `benchgate` can compare it against the
+//! committed baseline:
 //!
-//! * `rendezvous_wallclock` — wall-clock of one full checkpoint
-//!   rendezvous round (gather → counters → image → finish) over the
-//!   **flat** and **tree** coordinator barriers, per world size. This is
-//!   the tentpole curve: flat grows linearly with the world (one lock,
-//!   N-thread thundering herd), the radix-32 tree stays near-logarithmic.
-//! * `p2p_drain` / `allreduce` / `ckpt_rendezvous` — deterministic
-//!   **virtual-time** makespans through the full Session stack under both
-//!   vendors (these gate hard in benchgate; wall-clock only warns).
-//! * `cluster` — the multi-tenant saturation battery: a fixed-config
-//!   [`stool::cluster::Cluster`] of checkpointing tenants churning
-//!   through ONE shared committer and ONE shared tier. Tenant count and
-//!   total committed epochs gate exactly; the fairness spread
+//! * `scale/rendezvous/…` — wall-clock of one full checkpoint rendezvous
+//!   round (gather → counters → image → finish) over the **tree**
+//!   coordinator barrier per world size (warns only), and the tree/flat
+//!   ratio at the largest world, which must stay under a fixed ceiling.
+//!   Flat grows linearly with the world (one lock, N-thread thundering
+//!   herd), the radix-32 tree stays near-logarithmic.
+//! * `scale/{p2p_drain,allreduce,ckpt_rendezvous}/<ranks>/<vendor>` —
+//!   deterministic **virtual-time** makespans through the full Session
+//!   stack under both vendors (these gate hard).
+//! * `scale/failover_recovery_rounds` — leader takeovers of the
+//!   replicated-coordinator failover battery (exact).
+//! * `scale/cluster/…` — the multi-tenant saturation battery: a
+//!   fixed-config [`stool::cluster::Cluster`] of checkpointing tenants
+//!   churning through ONE shared committer and ONE shared tier. Tenant
+//!   count and total committed epochs gate exactly; the fairness spread
 //!   ((max − min) / mean of the tenants' virtual makespans) gates at
 //!   benchgate's tolerance; wall-clock only warns.
 //!
-//! `BENCH_SCALE_MAX` caps the largest world (default 1024) so constrained
-//! environments can trim the sweep; benchgate then compares only the rows
-//! present on both sides but requires ≥ 512 ranks in the fresh emit.
-//! `BENCH_CLUSTER_TENANTS` (nightly stress knob) additionally runs a
-//! bigger tenant sweep, printed and completion-asserted only — the gated
-//! `cluster` JSON section always comes from the fixed config.
+//! `BENCH_SCALE_MAX` caps the largest world (default 1024). A capped sweep
+//! is the `pr` suite, whose metrics stop at 512 ranks, so the gate rejects
+//! a sweep capped below 512. `BENCH_CLUSTER_TENANTS` (nightly stress knob)
+//! additionally runs a bigger tenant sweep, printed and completion-asserted
+//! only — the gated `scale/cluster/…` metrics always come from the fixed
+//! config.
 
 use std::time::Instant;
 
@@ -37,11 +40,12 @@ use dmtcp_sim::{
     ReplicaFault, ReplicaGroup, TestClock,
 };
 use mpi_abi::{Handle, ReduceOp};
-use simnet::{ClusterSpec, Fabric, Interconnect};
-use std::sync::Arc;
+use simnet::{ClusterSpec, Interconnect};
+use std::sync::{Arc, Barrier};
 use stool::cluster::{Cluster, TenantSpec};
 use stool::programs::RingPings;
 use stool::{AppCtx, Checkpointer, MpiProgram, Session, StoolResult, Vendor};
+use stool_bench::gate::{workspace_path, Check, Report, Suite, EVERY_SUITE, FULL_ONLY};
 
 /// World sizes for the sweep; ranks per node stays at 64 (16 nodes at the
 /// top end), mirroring a fat modern CPU partition.
@@ -247,17 +251,24 @@ fn failover_recovery_rounds() -> u64 {
         let group = Arc::new(ReplicaGroup::in_memory(ReplicaConfig::default(), clock));
         group.script_faults([ReplicaFault::KillLeaderAt(phase)]);
         coord.attach_replicas(group.clone());
+        // Lock-step: every rank starts each step together and rank 0
+        // presses between two waits, so no rank runs on through a gather
+        // and two presses never merge into one round.
+        let lockstep = Barrier::new(n);
         std::thread::scope(|s| {
             for rank in 0..n {
                 let coord = coord.clone();
+                let lockstep = &lockstep;
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
                     let zeros = vec![0u64; n];
                     let mut step = 0u64;
                     while step < 40 {
+                        lockstep.wait();
                         if rank == 0 && [5, 15, 25].contains(&step) {
                             coord.request_checkpoint(CkptMode::Continue);
                         }
+                        lockstep.wait();
                         match agent.poll(step).expect("poll") {
                             Poll::None | Poll::KeepRunning => step += 1,
                             Poll::Enter(session) => {
@@ -269,7 +280,6 @@ fn failover_recovery_rounds() -> u64 {
                                 step += 1;
                             }
                         }
-                        std::thread::yield_now();
                     }
                 });
             }
@@ -286,9 +296,9 @@ fn failover_recovery_rounds() -> u64 {
 // Multi-tenant cluster saturation (deterministic fairness, wall warns)
 // ---------------------------------------------------------------------------
 
-/// Tenants in the *gated* saturation run. Fixed: the emitted `cluster`
-/// section must be a pure function of this config so benchgate can gate
-/// it, whatever knobs a nightly sweep adds on top.
+/// Tenants in the *gated* saturation run. Fixed: the emitted
+/// `scale/cluster/…` metrics must be a pure function of this config so
+/// benchgate can gate them, whatever knobs a nightly sweep adds on top.
 const CLUSTER_TENANTS: usize = 4;
 
 struct ClusterNumbers {
@@ -372,7 +382,7 @@ fn cluster_saturation(tenants: usize) -> ClusterNumbers {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission
+// The report
 // ---------------------------------------------------------------------------
 
 struct Measurements {
@@ -384,50 +394,90 @@ struct Measurements {
     cluster: ClusterNumbers,
 }
 
-fn vendor_rows(json: &mut String, key: &str, rows: &[(usize, &'static str, f64)]) {
-    json.push_str(&format!("  \"{key}\": [\n"));
-    for (i, (ranks, vendor, s)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"ranks\": {ranks}, \"vendor\": \"{vendor}\", \"virt_makespan_s\": {s:.9}}}{}\n",
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+/// The largest world PR CI runs (`BENCH_SCALE_MAX=512`); bigger worlds
+/// run nightly, so their metrics belong to the full suite only.
+const PR_MAX_RANKS: usize = 512;
+
+/// How much slower than the flat barrier the tree barrier may measure at
+/// the largest world. The two are timed back-to-back on the same machine,
+/// so this same-run ratio gates where absolute wall-clock would flake.
+const TREE_HEADROOM: f64 = 0.25;
+
+fn suites(ranks: usize) -> &'static [Suite] {
+    if ranks <= PR_MAX_RANKS {
+        EVERY_SUITE
+    } else {
+        FULL_ONLY
     }
-    json.push_str("  ]");
 }
 
-fn emit_json(m: &Measurements, stripes: usize) {
-    let mut json = String::from("{\n  \"bench\": \"scale\",\n");
-    json.push_str(&format!("  \"stripes\": {stripes},\n"));
-    json.push_str(&format!(
-        "  \"failover_recovery_rounds\": {},\n",
-        m.failover_recovery_rounds
-    ));
-    json.push_str("  \"rendezvous_wallclock\": [\n");
-    for (i, (ranks, flat, tree)) in m.rendezvous.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"ranks\": {ranks}, \"flat_ms\": {flat:.6}, \"tree_ms\": {tree:.6}}}{}\n",
-            if i + 1 == m.rendezvous.len() { "" } else { "," }
-        ));
+/// The `BENCH_scale.json` report: a full-suite run covers every size of
+/// the sweep, a capped one is the PR suite.
+fn report(m: &Measurements) -> Report {
+    let suite = if m.rendezvous.len() == SIZES.len() {
+        Suite::Full
+    } else {
+        Suite::Pr
+    };
+    let mut report = Report::new(suite);
+    let c = &m.cluster;
+    for (name, value, unit, check) in [
+        (
+            "failover_recovery_rounds",
+            m.failover_recovery_rounds as f64,
+            "count",
+            Check::Exact,
+        ),
+        ("cluster/tenants", c.tenants as f64, "count", Check::Exact),
+        (
+            "cluster/epochs_total",
+            c.epochs_total as f64,
+            "count",
+            Check::Exact,
+        ),
+        (
+            "cluster/fairness_spread",
+            c.fairness_spread,
+            "ratio",
+            Check::Band,
+        ),
+        ("cluster/wall_ms", c.wall_ms, "ms", Check::WarnRise),
+    ] {
+        report.push(format!("scale/{name}"), value, unit, check, EVERY_SUITE);
     }
-    json.push_str("  ],\n");
-    vendor_rows(&mut json, "p2p_drain", &m.p2p);
-    json.push_str(",\n");
-    vendor_rows(&mut json, "allreduce", &m.allreduce);
-    json.push_str(",\n");
-    vendor_rows(&mut json, "ckpt_rendezvous", &m.ckpt);
-    json.push_str(",\n");
-    json.push_str(&format!(
-        "  \"cluster\": {{\"tenants\": {}, \"epochs_total\": {}, \
-         \"fairness_spread\": {:.9}, \"wall_ms\": {:.6}}}\n",
-        m.cluster.tenants, m.cluster.epochs_total, m.cluster.fairness_spread, m.cluster.wall_ms
-    ));
-    json.push_str("}\n");
-    // Land at the workspace root regardless of the bench CWD, so CI picks
-    // one stable path up.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_scale.json");
-    std::fs::write(path, json).expect("write BENCH_scale.json");
+    for &(ranks, _, tree) in &m.rendezvous {
+        report.push(
+            format!("scale/rendezvous/{ranks}/tree_ms"),
+            tree,
+            "ms",
+            Check::WarnRise,
+            suites(ranks),
+        );
+    }
+    let &(_, flat, tree) = m.rendezvous.last().expect("the sweep has a size");
+    report.push(
+        "scale/rendezvous/tree_over_flat",
+        tree / flat,
+        "ratio",
+        Check::AtMost(1.0 + TREE_HEADROOM),
+        EVERY_SUITE,
+    );
+    for (key, rows) in [
+        ("p2p_drain", &m.p2p),
+        ("allreduce", &m.allreduce),
+        ("ckpt_rendezvous", &m.ckpt),
+    ] {
+        for &(ranks, vendor, s) in rows {
+            report.push(
+                format!("scale/{key}/{ranks}/{vendor}"),
+                s,
+                "s",
+                Check::Rise,
+                suites(ranks),
+            );
+        }
+    }
+    report
 }
 
 fn measure_all() -> Measurements {
@@ -450,7 +500,7 @@ fn measure_all() -> Measurements {
         m.cluster.tenants, m.cluster.epochs_total, m.cluster.fairness_spread, m.cluster.wall_ms
     );
     // Nightly stress knob: a bigger tenant sweep, printed and
-    // completion-asserted only — never fed into the gated JSON above.
+    // completion-asserted only — never fed into the gated report.
     if let Some(n) = std::env::var("BENCH_CLUSTER_TENANTS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -497,9 +547,9 @@ fn measure_all() -> Measurements {
 }
 
 fn scale_benches(c: &mut Criterion) {
-    let m = measure_all();
-    let (fabric, _eps) = Fabric::new(&cluster(64));
-    emit_json(&m, fabric.stripes());
+    report(&measure_all())
+        .write(&workspace_path("BENCH_scale.json"))
+        .expect("write BENCH_scale.json");
 
     // Wall-clock criterion samples of the tree rendezvous at a mid size
     // (the sweep above already recorded the full curves).

@@ -5,12 +5,11 @@
 //! workloads.
 //!
 //! As a side effect (in both `cargo bench` and `--test` smoke mode) this
-//! bench emits `BENCH_ckpt.json` in the working directory so CI records
-//! the perf trajectory: per-workload full vs delta bytes, bytes hashed
-//! per delta epoch with and without dirty tracking, on-disk delta bytes
-//! with and without compression, the wall-clock commit makespan, and the
-//! virtual-time makespan with synchronous image writes vs the async
-//! store.
+//! bench emits the `BENCH_ckpt.json` report at the workspace root so CI
+//! records the perf trajectory: per workload, the full-vs-delta, hashing,
+//! compression and tier-dedup savings as ratios, the wall-clock commit
+//! cost, and the virtual-time makespan with synchronous image writes vs
+//! the async store.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmtcp_sim::store::{Compression, DeltaStore, StoreConfig};
@@ -19,6 +18,7 @@ use dmtcp_sim::WorldImage;
 use mpi_apps::{CoMdMini, WaveMpi};
 use simnet::ClusterSpec;
 use stool::{Checkpointer, ManaConfig, MpiProgram, Session, StoreError, Vendor};
+use stool_bench::gate::{workspace_path, Check, Report, Suite, EVERY_SUITE};
 
 fn bench_cluster() -> ClusterSpec {
     ClusterSpec::builder().nodes(2).ranks_per_node(3).build()
@@ -179,38 +179,52 @@ fn measure_workload(
     Ok(row)
 }
 
-fn emit_json(rows: &[WorkloadRow]) {
-    let mut json = String::from("{\n  \"bench\": \"ckpt_store\",\n  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"epochs\": {}, \"full_base_bytes\": {}, \
-             \"delta_bytes_avg\": {}, \"delta_raw_bytes_avg\": {}, \
-             \"hashed_dirty_avg\": {}, \"hashed_full_avg\": {}, \
-             \"image_bytes\": {}, \"tier_shipped_bytes_avg\": {}, \
-             \"commit_wall_ms\": {:.6}, \
-             \"sync_makespan_s\": {:.9}, \"async_makespan_s\": {:.9}}}{}\n",
-            r.name,
-            r.epochs,
-            r.full_bytes,
-            r.delta_bytes_avg,
-            r.delta_raw_bytes_avg,
-            r.hashed_dirty_avg,
-            r.hashed_full_avg,
-            r.image_bytes,
-            r.tier_shipped_bytes_avg,
-            r.commit_wall_ms,
-            r.sync_makespan_s,
-            r.async_makespan_s,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+/// The `BENCH_ckpt.json` report. The byte counts gate as ratios, each a
+/// deterministic saving of the store: the delta chain, dirty-segment
+/// tracking, per-block compression and content-keyed dedup at the tier.
+fn report(rows: &[WorkloadRow]) -> Report {
+    let ratio = |num: u64, den: u64| num as f64 / (den as f64).max(1.0);
+    let mut report = Report::new(Suite::Full);
+    for r in rows {
+        for (what, value, unit, check) in [
+            (
+                "delta_ratio",
+                ratio(r.full_bytes, r.delta_bytes_avg),
+                "ratio",
+                Check::Drop,
+            ),
+            (
+                "hash_skip_ratio",
+                ratio(r.hashed_full_avg, r.hashed_dirty_avg),
+                "ratio",
+                Check::Drop,
+            ),
+            (
+                "compression_ratio",
+                ratio(r.delta_raw_bytes_avg, r.delta_bytes_avg),
+                "ratio",
+                Check::Drop,
+            ),
+            (
+                "tier_dedup_ratio",
+                ratio(r.image_bytes, r.tier_shipped_bytes_avg),
+                "ratio",
+                Check::Drop,
+            ),
+            ("sync_makespan_s", r.sync_makespan_s, "s", Check::Rise),
+            ("async_makespan_s", r.async_makespan_s, "s", Check::Rise),
+            ("commit_wall_ms", r.commit_wall_ms, "ms", Check::WarnRise),
+        ] {
+            report.push(
+                format!("ckpt/{}/{what}", r.name),
+                value,
+                unit,
+                check,
+                EVERY_SUITE,
+            );
+        }
     }
-    json.push_str("  ]\n}\n");
-    // Land at the workspace root regardless of the bench CWD, so CI picks
-    // one stable path up.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_ckpt.json");
-    std::fs::write(path, json).expect("write BENCH_ckpt.json");
+    report
 }
 
 /// Produce a realistic multi-epoch image sequence from a wave run (used by
@@ -280,7 +294,9 @@ fn store_benches(c: &mut Criterion) {
             r.async_makespan_s,
         );
     }
-    emit_json(&rows);
+    report(&rows)
+        .write(&workspace_path("BENCH_ckpt.json"))
+        .expect("write BENCH_ckpt.json");
 
     // Wall-clock throughput of the store primitives on real images.
     let img1 = wave_image(10);

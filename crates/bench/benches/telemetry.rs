@@ -10,8 +10,8 @@
 //! warns only).
 //!
 //! As a side effect (in both `cargo bench` and `--test` smoke mode) this
-//! bench emits `BENCH_telemetry.json` at the workspace root for the
-//! benchgate flow.
+//! bench emits the `BENCH_telemetry.json` report at the workspace root for
+//! the benchgate flow.
 
 use std::time::Instant;
 
@@ -19,6 +19,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use simnet::ClusterSpec;
 use stool::programs::RingPings;
 use stool::{Checkpointer, EventKind, Session, Telemetry, Vendor};
+use stool_bench::gate::{workspace_path, Check, Report, Suite, EVERY_SUITE};
 
 /// The kinds the coordinator/store control plane emits on a clean
 /// (no-replica, no-tier) checkpointing run. Per-round counts are a pure
@@ -89,18 +90,33 @@ fn measure_emit_wall() -> (f64, f64) {
     )
 }
 
-fn emit_json(events_per_round: f64, rounds: u64, emit_wall_ns: f64, events_per_sec_wall: f64) {
-    let json = format!(
-        "{{\n  \"bench\": \"telemetry\",\n  \"events_per_round\": {events_per_round:.6},\n  \
-         \"rounds\": {rounds},\n  \"emit_wall_ns\": {emit_wall_ns:.3},\n  \
-         \"events_per_sec_wall\": {events_per_sec_wall:.1}\n}}\n"
+/// The `BENCH_telemetry.json` report. Events per round gate in both
+/// directions: fewer means instrumentation fell off a code path, more
+/// means the control plane got chatty.
+fn report(events_per_round: f64, rounds: u64, emit_wall_ns: f64) -> Report {
+    let mut report = Report::new(Suite::Full);
+    report.push(
+        "telemetry/events_per_round",
+        events_per_round,
+        "events/round",
+        Check::Band,
+        EVERY_SUITE,
     );
-    // Land at the workspace root regardless of the bench CWD, so CI picks
-    // one stable path up.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_telemetry.json");
-    std::fs::write(path, json).expect("write BENCH_telemetry.json");
+    report.push(
+        "telemetry/rounds",
+        rounds as f64,
+        "count",
+        Check::Exact,
+        EVERY_SUITE,
+    );
+    report.push(
+        "telemetry/emit_wall_ns",
+        emit_wall_ns,
+        "ns",
+        Check::WarnRise,
+        EVERY_SUITE,
+    );
+    report
 }
 
 fn telemetry_benches(c: &mut Criterion) {
@@ -110,7 +126,9 @@ fn telemetry_benches(c: &mut Criterion) {
         "telemetry: {events_per_round:.2} control-plane events/round over {rounds} rounds, \
          hot emit {emit_wall_ns:.1} ns ({events_per_sec_wall:.0} events/s, 4 threads)"
     );
-    emit_json(events_per_round, rounds, emit_wall_ns, events_per_sec_wall);
+    report(events_per_round, rounds, emit_wall_ns)
+        .write(&workspace_path("BENCH_telemetry.json"))
+        .expect("write BENCH_telemetry.json");
 
     // Wall-clock per-emit cost under criterion for the local trajectory.
     let tel = Telemetry::new(1);

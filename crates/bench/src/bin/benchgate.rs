@@ -1,31 +1,25 @@
 //! benchgate — the CI perf-regression gate.
 //!
-//! Strictly validates freshly emitted `BENCH_ckpt.json` / `BENCH_scale.json`
-//! / `BENCH_telemetry.json` (a malformed emit fails CI instead of uploading a
-//! broken artifact) and compares them against the committed baselines under
-//! `benches/baselines/`.
+//! Strictly validates each fresh report named on the command line (one
+//! schema for every bench: [`stool_bench::gate::Report`]; a malformed emit
+//! fails CI instead of uploading a broken artifact), finds its baseline
+//! under `--baselines` by file name, and diffs the two by metric name.
 //!
 //! ```text
-//! cargo run -p stool-bench --bin benchgate              # gate against baselines
-//! cargo run -p stool-bench --bin benchgate -- --write-baselines   # refresh them
+//! cargo run -p stool-bench --bin benchgate -- BENCH_ckpt.json BENCH_scale.json
+//! cargo run -p stool-bench --bin benchgate -- --write-baselines BENCH_ckpt.json
 //! ```
 //!
-//! Exit codes: 0 = pass, 1 = regression beyond tolerance, 2 = missing or
-//! malformed input. See `docs/ci.md` for the workflow.
+//! Exit codes: 0 = pass, 1 = regression, 2 = missing or malformed input.
+//! See `docs/ci.md` for the workflow.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use stool_bench::gate::{
-    compare_ckpt, compare_matrix, compare_scale, compare_telemetry, parse_ckpt_report,
-    parse_matrix_report, parse_scale_report, parse_telemetry_report, GateOutcome, TOLERANCE,
-};
+use stool_bench::gate::{compare, GateOutcome, Report, Suite};
 
 struct Args {
-    ckpt: PathBuf,
-    scale: PathBuf,
-    telemetry: PathBuf,
-    matrix: Option<PathBuf>,
+    reports: Vec<PathBuf>,
     baselines: PathBuf,
     write_baselines: bool,
 }
@@ -33,37 +27,30 @@ struct Args {
 fn usage() -> ! {
     // lint:allow(no-eprintln) — gate tooling reports on stderr by design.
     eprintln!(
-        "usage: benchgate [--ckpt PATH] [--scale PATH] [--telemetry PATH] [--baselines DIR] \
-         [--write-baselines]\n\
-         \x20      benchgate --matrix PATH [--baselines DIR] [--write-baselines]\n\
-         defaults: --ckpt BENCH_ckpt.json --scale BENCH_scale.json \
-         --telemetry BENCH_telemetry.json --baselines benches/baselines\n\
-         --matrix gates a scenario-matrix emit (BENCH_matrix.json) instead of the \
-         perf reports; see docs/scenarios.md"
+        "usage: benchgate [--baselines DIR] [--write-baselines] REPORT...\n\
+         default: --baselines benches/baselines; each REPORT is gated against the \
+         baseline of the same file name there"
     );
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        ckpt: PathBuf::from("BENCH_ckpt.json"),
-        scale: PathBuf::from("BENCH_scale.json"),
-        telemetry: PathBuf::from("BENCH_telemetry.json"),
-        matrix: None,
+        reports: Vec::new(),
         baselines: PathBuf::from("benches/baselines"),
         write_baselines: false,
     };
     let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--ckpt" => args.ckpt = it.next().unwrap_or_else(|| usage()).into(),
-            "--scale" => args.scale = it.next().unwrap_or_else(|| usage()).into(),
-            "--telemetry" => args.telemetry = it.next().unwrap_or_else(|| usage()).into(),
-            "--matrix" => args.matrix = Some(it.next().unwrap_or_else(|| usage()).into()),
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
             "--baselines" => args.baselines = it.next().unwrap_or_else(|| usage()).into(),
             "--write-baselines" => args.write_baselines = true,
-            _ => usage(),
+            flag if flag.starts_with("--") => usage(),
+            path => args.reports.push(path.into()),
         }
+    }
+    if args.reports.is_empty() {
+        usage();
     }
     args
 }
@@ -72,108 +59,54 @@ fn read(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-/// The `--matrix` mode: gate a scenario-matrix emit instead of the perf
-/// reports. Kept exclusive so PR CI can run it as a separate, clearly
-/// labelled step (the perf gate and the correctness gate fail for
-/// different reasons and want different remedies).
-fn run_matrix(args: &Args, fresh_path: &Path) -> Result<GateOutcome, String> {
-    let fresh_text = read(fresh_path)?;
-    let fresh = parse_matrix_report(&fresh_text)
-        .map_err(|e| format!("{} is malformed: {e}", fresh_path.display()))?;
-    println!(
-        "benchgate: validated {} ({} suite, {} scenarios of {} in spec)",
-        fresh_path.display(),
-        fresh.suite,
-        fresh.scenarios.len(),
-        fresh.spec_scenarios
-    );
-
-    if args.write_baselines {
-        if fresh.suite != "full" {
-            return Err(format!(
-                "matrix baselines must come from the full suite, not '{}'",
-                fresh.suite
-            ));
-        }
-        std::fs::create_dir_all(&args.baselines)
-            .map_err(|e| format!("cannot create {}: {e}", args.baselines.display()))?;
-        let to = args.baselines.join("BENCH_matrix.json");
-        std::fs::write(&to, &fresh_text)
-            .map_err(|e| format!("cannot write {}: {e}", to.display()))?;
-        println!("benchgate: matrix baseline refreshed at {}", to.display());
-        return Ok(GateOutcome::default());
-    }
-
-    let base_path = args.baselines.join("BENCH_matrix.json");
-    let base = parse_matrix_report(&read(&base_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_path.display()))?;
-    let mut out = GateOutcome::default();
-    compare_matrix(&mut out, &base, &fresh);
-    Ok(out)
+fn parse(path: &Path, text: &str) -> Result<Report, String> {
+    Report::parse(text).map_err(|e| format!("{} is malformed: {e}", path.display()))
 }
 
 fn run() -> Result<GateOutcome, String> {
     let args = parse_args();
 
-    if let Some(matrix) = args.matrix.clone() {
-        return run_matrix(&args, &matrix);
+    // Strict validation first: a fresh emit that does not parse is a CI
+    // failure regardless of baselines.
+    let mut fresh = Vec::with_capacity(args.reports.len());
+    for path in &args.reports {
+        let text = read(path)?;
+        let report = parse(path, &text)?;
+        println!(
+            "benchgate: validated {} ({} suite, {} metrics)",
+            path.display(),
+            report.suite.name(),
+            report.metrics.len()
+        );
+        let name = path
+            .file_name()
+            .ok_or_else(|| format!("{} names no file", path.display()))?;
+        fresh.push((args.baselines.join(name), text, report));
     }
 
-    // Strict validation first: a fresh emit that does not parse is a CI
-    // failure regardless of baselines (the former silent-artifact bug).
-    let ckpt_text = read(&args.ckpt)?;
-    let fresh_ckpt = parse_ckpt_report(&ckpt_text)
-        .map_err(|e| format!("{} is malformed: {e}", args.ckpt.display()))?;
-    let scale_text = read(&args.scale)?;
-    let fresh_scale = parse_scale_report(&scale_text)
-        .map_err(|e| format!("{} is malformed: {e}", args.scale.display()))?;
-    let telemetry_text = read(&args.telemetry)?;
-    let fresh_telemetry = parse_telemetry_report(&telemetry_text)
-        .map_err(|e| format!("{} is malformed: {e}", args.telemetry.display()))?;
-    println!(
-        "benchgate: validated {} ({} workloads), {} ({} rendezvous sizes) and {} \
-         ({:.1} events/round)",
-        args.ckpt.display(),
-        fresh_ckpt.workloads.len(),
-        args.scale.display(),
-        fresh_scale.rendezvous_wallclock.len(),
-        args.telemetry.display(),
-        fresh_telemetry.events_per_round
-    );
-
     if args.write_baselines {
+        if let Some((to, _, r)) = fresh.iter().find(|(_, _, r)| r.suite != Suite::Full) {
+            return Err(format!(
+                "baselines must come from the full suite, not '{}' (for {})",
+                r.suite.name(),
+                to.display()
+            ));
+        }
         std::fs::create_dir_all(&args.baselines)
             .map_err(|e| format!("cannot create {}: {e}", args.baselines.display()))?;
-        let ckpt_to = args.baselines.join("BENCH_ckpt.json");
-        let scale_to = args.baselines.join("BENCH_scale.json");
-        let telemetry_to = args.baselines.join("BENCH_telemetry.json");
-        std::fs::write(&ckpt_to, &ckpt_text)
-            .map_err(|e| format!("cannot write {}: {e}", ckpt_to.display()))?;
-        std::fs::write(&scale_to, &scale_text)
-            .map_err(|e| format!("cannot write {}: {e}", scale_to.display()))?;
-        std::fs::write(&telemetry_to, &telemetry_text)
-            .map_err(|e| format!("cannot write {}: {e}", telemetry_to.display()))?;
-        println!(
-            "benchgate: baselines refreshed under {}",
-            args.baselines.display()
-        );
+        for (to, text, _) in &fresh {
+            std::fs::write(to, text).map_err(|e| format!("cannot write {}: {e}", to.display()))?;
+            println!("benchgate: baseline refreshed at {}", to.display());
+        }
         return Ok(GateOutcome::default());
     }
 
-    let base_ckpt_path = args.baselines.join("BENCH_ckpt.json");
-    let base_ckpt = parse_ckpt_report(&read(&base_ckpt_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_ckpt_path.display()))?;
-    let base_scale_path = args.baselines.join("BENCH_scale.json");
-    let base_scale = parse_scale_report(&read(&base_scale_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_scale_path.display()))?;
-    let base_telemetry_path = args.baselines.join("BENCH_telemetry.json");
-    let base_telemetry = parse_telemetry_report(&read(&base_telemetry_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_telemetry_path.display()))?;
-
     let mut out = GateOutcome::default();
-    compare_ckpt(&mut out, &base_ckpt, &fresh_ckpt);
-    compare_scale(&mut out, &base_scale, &fresh_scale);
-    compare_telemetry(&mut out, &base_telemetry, &fresh_telemetry);
+    for (base_path, _, report) in &fresh {
+        let base = parse(base_path, &read(base_path)?)?;
+        compare(&mut out, &base, report)
+            .map_err(|e| format!("does not line up with {}: {e}", base_path.display()))?;
+    }
     Ok(out)
 }
 
@@ -190,9 +123,8 @@ fn main() -> ExitCode {
             }
             if out.ok() {
                 println!(
-                    "benchgate: PASS — {} metrics within {:.0}% of baselines",
-                    out.passed,
-                    TOLERANCE * 100.0
+                    "benchgate: PASS — {} gated metrics hold against the baselines",
+                    out.passed
                 );
                 ExitCode::SUCCESS
             } else {
@@ -203,8 +135,8 @@ fn main() -> ExitCode {
                 // lint:allow(no-eprintln) — gate tooling reports on stderr by design.
                 eprintln!(
                     "benchgate: FAIL — {} regression(s); if intentional, refresh with \
-                     `cargo run -p stool-bench --bin benchgate -- --write-baselines` \
-                     and commit benches/baselines/",
+                     `cargo run -p stool-bench --bin benchgate -- --write-baselines REPORT...` \
+                     from a full-suite run and commit benches/baselines/",
                     out.regressions.len()
                 );
                 ExitCode::FAILURE

@@ -29,8 +29,7 @@ fn main() {
         // the ~3x gap. CoMD's KB-scale halo messages sit above that
         // penalty, which is why its gap stays modest. Step counts are
         // ~4x below the paper's absolute scale to keep the harness
-        // wall-time reasonable; ratios are unaffected (see
-        // EXPERIMENTS.md).
+        // wall-time reasonable; ratios are unaffected.
         (
             CoMdMini {
                 nx: 24,

@@ -2,8 +2,8 @@
 //!
 //! Reads a scenario matrix spec (see `benches/scenarios/matrix.toml` and
 //! `docs/scenarios.md`), runs each selected row through
-//! [`stool::run_scenario`], and emits one JSON object per row into a
-//! `BENCH_matrix.json` that `benchgate --matrix` gates strictly.
+//! [`stool::run_scenario`], and emits the rows' metrics as the
+//! `BENCH_matrix.json` report that `benchgate` gates strictly.
 //!
 //! ```text
 //! cargo run -p stool-bench --bin scenario -- --suite pr     # pinned CI subset
@@ -17,13 +17,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use stool::{matrix_json, parse_matrix, run_scenario, ScenarioResult, ScenarioSpec};
+use stool::{parse_matrix, run_scenario, ScenarioResult};
 use stool_bench::app_for;
+use stool_bench::gate::Suite;
+use stool_bench::matrix::matrix_report;
 
 struct Args {
     spec: PathBuf,
     out: PathBuf,
-    suite: String,
+    suite: Suite,
     workdir: PathBuf,
 }
 
@@ -41,7 +43,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         spec: PathBuf::from("benches/scenarios/matrix.toml"),
         out: PathBuf::from("BENCH_matrix.json"),
-        suite: "pr".into(),
+        suite: Suite::Pr,
         workdir: PathBuf::from("target/scenarios"),
     };
     let mut it = std::env::args().skip(1);
@@ -49,34 +51,38 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--spec" => args.spec = it.next().unwrap_or_else(|| usage()).into(),
             "--out" => args.out = it.next().unwrap_or_else(|| usage()).into(),
-            "--suite" => args.suite = it.next().unwrap_or_else(|| usage()),
+            "--suite" => {
+                args.suite = it
+                    .next()
+                    .and_then(|s| Suite::from_name(&s))
+                    .unwrap_or_else(|| usage())
+            }
             "--workdir" => args.workdir = it.next().unwrap_or_else(|| usage()).into(),
             _ => usage(),
         }
     }
-    if args.suite != "pr" && args.suite != "full" {
-        usage();
-    }
     args
 }
 
-fn run() -> Result<Vec<ScenarioResult>, String> {
+fn run() -> Result<Vec<(usize, ScenarioResult)>, String> {
     let args = parse_args();
     let text = std::fs::read_to_string(&args.spec)
         .map_err(|e| format!("cannot read {}: {e}", args.spec.display()))?;
     let specs = parse_matrix(&text).map_err(|e| format!("{}: {e}", args.spec.display()))?;
-    // spec_scenarios is always the *full* matrix size, so the gate can hold
-    // the ">= 24 scenarios" floor even when PR CI runs only the subset.
+    // The report carries the *full* matrix size and each row's spec
+    // position, so the gate can hold the ">= 24 scenarios" floor and the
+    // row order even when PR CI runs only the subset.
     let total = specs.len();
-    let selected: Vec<&ScenarioSpec> = specs
+    let selected: Vec<_> = specs
         .iter()
-        .filter(|s| args.suite == "full" || s.pr)
+        .enumerate()
+        .filter(|(_, s)| args.suite == Suite::Full || s.pr)
         .collect();
     if selected.is_empty() {
         return Err(format!(
             "{}: suite '{}' selects no scenarios",
             args.spec.display(),
-            args.suite
+            args.suite.name()
         ));
     }
     println!(
@@ -84,11 +90,11 @@ fn run() -> Result<Vec<ScenarioResult>, String> {
         args.spec.display(),
         selected.len(),
         total,
-        args.suite
+        args.suite.name()
     );
 
     let mut results = Vec::with_capacity(selected.len());
-    for spec in selected {
+    for (position, spec) in selected {
         let program = app_for(spec)?;
         let result = run_scenario(spec, program.as_ref(), &args.workdir);
         let verdict = if result.passed() { "ok" } else { "FAILED" };
@@ -100,11 +106,11 @@ fn run() -> Result<Vec<ScenarioResult>, String> {
             // lint:allow(no-eprintln) — runner tooling reports on stderr by design.
             eprintln!("scenario: {}: {failure}", result.name);
         }
-        results.push(result);
+        results.push((position, result));
     }
 
-    let json = matrix_json(&args.suite, total, &results);
-    std::fs::write(&args.out, &json)
+    matrix_report(args.suite, total, &results)
+        .write(&args.out)
         .map_err(|e| format!("cannot write {}: {e}", args.out.display()))?;
     println!("scenario: wrote {}", args.out.display());
     Ok(results)
@@ -118,7 +124,7 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
         Ok(results) => {
-            let failed = results.iter().filter(|r| !r.passed()).count();
+            let failed = results.iter().filter(|(_, r)| !r.passed()).count();
             if failed == 0 {
                 println!("scenario: PASS — all {} scenarios held", results.len());
                 ExitCode::SUCCESS

@@ -1,31 +1,30 @@
-//! The CI perf-regression gate: strict parsing and baseline comparison of
-//! the `BENCH_ckpt.json` / `BENCH_scale.json` artifacts.
+//! The CI perf-regression gate: one report schema and one name-keyed diff.
 //!
-//! The bench harnesses emit these files on every CI run; this module is
-//! what turns them from write-only artifacts into a recorded perf
-//! trajectory. [`parse_json`] is a strict, dependency-free JSON reader
-//! (the workspace has no registry access, hence no serde); the schema
-//! checks reject *any* malformed emit — a bench that writes a broken file
-//! fails CI instead of uploading garbage — and [`compare`] fails the job
-//! when a deterministic metric regresses beyond the tolerance against the
-//! committed baselines under `benches/baselines/`.
+//! Every bench artifact (`BENCH_ckpt.json`, `BENCH_scale.json`,
+//! `BENCH_telemetry.json`, `BENCH_matrix.json`) is a [`Report`]: the suite
+//! that ran plus a flat list of [`Metric`]s. Each metric carries its own
+//! name, value, unit, [`Check`] and the suites that must emit it, so adding
+//! a metric is one [`Report::push`] in the emitter and no gate code.
+//! [`compare`] diffs a fresh report against its committed baseline under
+//! `benches/baselines/` by metric name.
 //!
-//! Gating policy: **virtual-time** metrics (makespans, delta-bytes
-//! ratios) are deterministic, so they gate hard at ±15%. **Wall-clock**
-//! metrics (the flat-vs-tree rendezvous latency curves) depend on the CI
-//! machine and only warn.
+//! [`parse_json`] is a strict, dependency-free JSON reader (the workspace
+//! has no registry access, hence no serde). [`Report::parse`] rejects any
+//! malformed emit, and [`compare`] rejects a report whose metric set does
+//! not line up with its baseline, so a bench that writes a broken file
+//! fails CI instead of uploading garbage.
+//!
+//! Gating policy: **virtual-time** metrics (makespans, byte ratios, counts)
+//! are deterministic, so they gate hard at [`TOLERANCE`] or exactly.
+//! **Wall-clock** metrics depend on the CI machine and only warn; the one
+//! wall-clock shape that gates is a same-run ratio against a fixed ceiling.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Fractional regression tolerance for deterministic metrics (15%).
 pub const TOLERANCE: f64 = 0.15;
-
-/// How much slower than the flat barrier the tree barrier may measure at
-/// the largest world before the gate fails. The two are timed
-/// back-to-back on the same machine, so this same-run ratio check is
-/// robust where absolute wall-clock gating would flake.
-pub const TREE_HEADROOM: f64 = 0.25;
 
 // ---------------------------------------------------------------------------
 // Minimal strict JSON
@@ -343,200 +342,277 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Bench report schemas
+// The report schema
 // ---------------------------------------------------------------------------
 
-/// One workload row of `BENCH_ckpt.json`.
+/// Which run produced a report: the pinned PR-CI subset or everything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Suite {
+    /// The pinned PR-CI subset: the scale sweep capped at 512 ranks and the
+    /// `pr = true` scenario rows.
+    Pr,
+    /// Everything. Baselines are written from this suite only.
+    Full,
+}
+
+/// The suites of a metric every run must emit.
+pub const EVERY_SUITE: &[Suite] = &[Suite::Pr, Suite::Full];
+
+/// The suites of a metric only the full run emits.
+pub const FULL_ONLY: &[Suite] = &[Suite::Full];
+
+impl Suite {
+    /// The suite's name in reports and on command lines.
+    pub fn name(self) -> &'static str {
+        match self {
+            Suite::Pr => "pr",
+            Suite::Full => "full",
+        }
+    }
+
+    /// The suite called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Suite> {
+        match name {
+            "pr" => Some(Suite::Pr),
+            "full" => Some(Suite::Full),
+            _ => None,
+        }
+    }
+}
+
+/// How a metric is judged against its baseline value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Check {
+    /// Deterministic count: must equal the baseline.
+    Exact,
+    /// Higher is better: may fall at most [`TOLERANCE`] below the baseline.
+    Drop,
+    /// Lower is better: may rise at most [`TOLERANCE`] above the baseline.
+    Rise,
+    /// Must stay within [`TOLERANCE`] of the baseline in both directions.
+    Band,
+    /// Wall clock: a rise beyond [`TOLERANCE`] warns and never fails.
+    WarnRise,
+    /// Observation: any change warns and never fails.
+    WarnChange,
+    /// Absolute ceiling, whatever the baseline.
+    AtMost(f64),
+    /// Absolute floor, whatever the baseline.
+    AtLeast(f64),
+}
+
+impl Check {
+    /// Whether the check scales the baseline, so a zero baseline is void.
+    fn relative(self) -> bool {
+        matches!(
+            self,
+            Check::Drop | Check::Rise | Check::Band | Check::WarnRise
+        )
+    }
+
+    fn parse(text: &str) -> Option<Check> {
+        Some(match text {
+            "exact" => Check::Exact,
+            "drop" => Check::Drop,
+            "rise" => Check::Rise,
+            "band" => Check::Band,
+            "warn_rise" => Check::WarnRise,
+            "warn_change" => Check::WarnChange,
+            _ => {
+                let (kind, bound) = text.split_once(' ')?;
+                let bound = bound.parse::<f64>().ok().filter(|b| b.is_finite())?;
+                match kind {
+                    "at_most" => Check::AtMost(bound),
+                    "at_least" => Check::AtLeast(bound),
+                    _ => return None,
+                }
+            }
+        })
+    }
+}
+
+impl fmt::Display for Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Check::Exact => f.write_str("exact"),
+            Check::Drop => f.write_str("drop"),
+            Check::Rise => f.write_str("rise"),
+            Check::Band => f.write_str("band"),
+            Check::WarnRise => f.write_str("warn_rise"),
+            Check::WarnChange => f.write_str("warn_change"),
+            Check::AtMost(bound) => write!(f, "at_most {bound}"),
+            Check::AtLeast(bound) => write!(f, "at_least {bound}"),
+        }
+    }
+}
+
+/// One named measurement and how to gate it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CkptRow {
-    /// Workload name ("wave_mpi", "CoMD").
+pub struct Metric {
+    /// Unique within its report, e.g. `ckpt/wave_mpi/delta_ratio`.
     pub name: String,
-    /// Committed epochs.
-    pub epochs: f64,
-    /// Bytes of the first full base epoch.
-    pub full_base_bytes: f64,
-    /// Average delta-epoch bytes on disk (compression on — the default
-    /// store configuration).
-    pub delta_bytes_avg: f64,
-    /// Average delta-epoch bytes on disk with compression off (the PR 2
-    /// raw-block path, measured from a parallel run).
-    pub delta_raw_bytes_avg: f64,
-    /// Average bytes chunked + hashed per delta epoch with dirty-segment
-    /// tracking on (clean hinted sections skipped).
-    pub hashed_dirty_avg: f64,
-    /// Average bytes chunked + hashed per delta epoch on the full-hash
-    /// path (dirty tracking off).
-    pub hashed_full_avg: f64,
-    /// Logical image bytes of the last epoch.
-    pub image_bytes: f64,
-    /// Average bytes shipped to the remote second tier per sealed epoch
-    /// (new blocks + manifest + seal — the dedup-at-tier cost).
-    pub tier_shipped_bytes_avg: f64,
-    /// Wall-clock milliseconds per commit when replaying the chain
-    /// (machine-dependent: warns, never gates).
-    pub commit_wall_ms: f64,
-    /// Virtual makespan with synchronous image writes.
-    pub sync_makespan_s: f64,
-    /// Virtual makespan with the async delta store attached.
-    pub async_makespan_s: f64,
+    /// The measurement: finite and non-negative.
+    pub value: f64,
+    /// Unit label (`s`, `ms`, `ratio`, `count`, ...).
+    pub unit: String,
+    /// How the value is judged against the baseline.
+    pub check: Check,
+    /// The suites that must emit this metric, in [`Suite`] order.
+    pub suites: Vec<Suite>,
 }
 
-impl CkptRow {
-    /// Full-base over average-delta bytes: how much the delta chain saves.
-    pub fn delta_ratio(&self) -> f64 {
-        self.full_base_bytes / self.delta_bytes_avg.max(1.0)
+/// A bench artifact: the suite that ran plus a flat list of metrics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// The suite that produced the report.
+    pub suite: Suite,
+    /// The metrics, in emission order.
+    pub metrics: Vec<Metric>,
+}
+
+impl Report {
+    /// An empty report of `suite`.
+    pub fn new(suite: Suite) -> Report {
+        Report {
+            suite,
+            metrics: Vec::new(),
+        }
     }
 
-    /// Full-hash over dirty-tracked bytes hashed per delta epoch: how
-    /// much hashing the clean-segment hints skip (deterministic).
-    pub fn hash_skip_ratio(&self) -> f64 {
-        self.hashed_full_avg / self.hashed_dirty_avg.max(1.0)
+    /// Append a metric.
+    pub fn push(
+        &mut self,
+        name: impl Into<String>,
+        value: f64,
+        unit: &str,
+        check: Check,
+        suites: &[Suite],
+    ) {
+        let mut suites = suites.to_vec();
+        suites.sort();
+        self.metrics.push(Metric {
+            name: name.into(),
+            value,
+            unit: unit.into(),
+            check,
+            suites,
+        });
     }
 
-    /// Raw over compressed on-disk delta bytes: what per-block
-    /// compression saves (deterministic).
-    pub fn compression_ratio(&self) -> f64 {
-        self.delta_raw_bytes_avg / self.delta_bytes_avg.max(1.0)
+    /// The metric called `name`.
+    pub fn get(&self, name: &str) -> Option<&Metric> {
+        self.metrics.iter().find(|m| m.name == name)
     }
 
-    /// Logical image bytes over average bytes shipped per sealed epoch:
-    /// how much content-keyed dedup saves at the remote tier
-    /// (deterministic — only new blocks ship).
-    pub fn tier_dedup_ratio(&self) -> f64 {
-        self.image_bytes / self.tier_shipped_bytes_avg.max(1.0)
+    /// The report as JSON, one metric per line. Values print at full
+    /// precision, so [`Report::parse`] reads back exactly what was pushed.
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\n  \"suite\": \"{}\",\n  \"metrics\": [\n",
+            self.suite.name()
+        );
+        for (i, m) in self.metrics.iter().enumerate() {
+            let suites: Vec<String> = m
+                .suites
+                .iter()
+                .map(|s| format!("\"{}\"", s.name()))
+                .collect();
+            out.push_str(&format!(
+                "    {{\"name\": {}, \"value\": {}, \"unit\": {}, \"check\": \"{}\", \
+                 \"suites\": [{}]}}{}\n",
+                quote(&m.name),
+                m.value,
+                quote(&m.unit),
+                m.check,
+                suites.join(", "),
+                if i + 1 == self.metrics.len() { "" } else { "," }
+            ));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+
+    /// Write the report to `path`.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_json())
+    }
+
+    /// Strictly parse a report: exactly the documented keys, a known suite,
+    /// unique non-empty names, finite non-negative values, a known check,
+    /// and suites that include the report's own.
+    pub fn parse(text: &str) -> Result<Report, GateError> {
+        let doc = parse_json(text)?;
+        let top = doc.obj("top level")?;
+        no_extra_keys(top, "top level", &["suite", "metrics"])?;
+        let mut report = Report::new(suite(field(top, "top level", "suite")?, "suite")?);
+        let items = field(top, "top level", "metrics")?.arr("metrics")?;
+        if items.is_empty() {
+            return Err(GateError::schema("metrics: empty"));
+        }
+        for (i, item) in items.iter().enumerate() {
+            let what = format!("metrics[{i}]");
+            let obj = item.obj(&what)?;
+            no_extra_keys(obj, &what, &["name", "value", "unit", "check", "suites"])?;
+            let name = field(obj, &what, "name")?.str(&what)?;
+            if name.is_empty() || report.get(name).is_some() {
+                return Err(GateError::schema(format!(
+                    "{what}: empty or duplicate name \"{name}\""
+                )));
+            }
+            let what = format!("metric \"{name}\"");
+            let value = field(obj, &what, "value")?.num(&what)?;
+            if value < 0.0 {
+                return Err(GateError::schema(format!("{what}: negative ({value})")));
+            }
+            let unit = field(obj, &what, "unit")?.str(&what)?;
+            if unit.is_empty() {
+                return Err(GateError::schema(format!("{what}: empty unit")));
+            }
+            let check_text = field(obj, &what, "check")?.str(&what)?;
+            let check = Check::parse(check_text).ok_or_else(|| {
+                GateError::schema(format!("{what}: unknown check \"{check_text}\""))
+            })?;
+            let mut suites = field(obj, &what, "suites")?
+                .arr(&what)?
+                .iter()
+                .map(|s| suite(s, &what))
+                .collect::<Result<Vec<_>, _>>()?;
+            suites.sort();
+            if suites.windows(2).any(|w| w[0] == w[1]) || !suites.contains(&report.suite) {
+                return Err(GateError::schema(format!(
+                    "{what}: suites {suites:?} must be distinct and include the report's \
+                     \"{}\"",
+                    report.suite.name()
+                )));
+            }
+            report.push(name, value, unit, check, &suites);
+        }
+        Ok(report)
     }
 }
 
-/// One `(ranks, vendor)` virtual-time row of `BENCH_scale.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleRow {
-    /// World size.
-    pub ranks: f64,
-    /// Vendor label ("MPICH", "Open MPI").
-    pub vendor: String,
-    /// Deterministic virtual makespan in seconds.
-    pub virt_makespan_s: f64,
+/// `file` at the workspace root. The benches land their reports there
+/// whatever directory cargo runs them from, so CI picks up one stable path.
+pub fn workspace_path(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file)
 }
 
-/// One wall-clock rendezvous row of `BENCH_scale.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RendezvousRow {
-    /// World size.
-    pub ranks: f64,
-    /// Wall-clock milliseconds for a full round over the flat barrier.
-    pub flat_ms: f64,
-    /// Wall-clock milliseconds for a full round over the tree barrier.
-    pub tree_ms: f64,
-}
-
-/// Parsed, schema-checked `BENCH_ckpt.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CkptReport {
-    /// Per-workload rows.
-    pub workloads: Vec<CkptRow>,
-}
-
-/// Parsed, schema-checked `BENCH_telemetry.json` — the flight recorder's
-/// own overhead bench.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryReport {
-    /// Control-plane events emitted per committed epoch on the fixed
-    /// workload. Deterministic under virtual time: gates hard in *both*
-    /// directions (a drop means instrumentation was lost, a rise means
-    /// the control plane got chatty).
-    pub events_per_round: f64,
-    /// Committed epochs of the fixed workload (deterministic; must match
-    /// the baseline exactly).
-    pub rounds: f64,
-    /// Wall-clock nanoseconds per hot-ring `emit` under four concurrent
-    /// writers (machine-dependent: warns, never gates).
-    pub emit_wall_ns: f64,
-    /// Wall-clock emits per second across the four writers
-    /// (machine-dependent: informational only).
-    pub events_per_sec_wall: f64,
-}
-
-/// The multi-tenant cluster saturation section of `BENCH_scale.json`:
-/// a fixed-config `Cluster` of checkpointing tenants churning through
-/// one shared committer and one shared tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSection {
-    /// Concurrent tenants in the fixed saturation config (deterministic;
-    /// must match the baseline exactly).
-    pub tenants: f64,
-    /// Committed epochs summed over every tenant lane (deterministic —
-    /// fixed checkpoint policy on a fixed program; must match exactly).
-    pub epochs_total: f64,
-    /// `(max − min) / mean` of the tenants' virtual makespans. Virtual
-    /// time is per-world and scheduling-independent, so this is a
-    /// deterministic function of the vendor mix: gates at [`TOLERANCE`]
-    /// in *both* directions (widening means shared infrastructure taxes
-    /// tenants unevenly; narrowing means the tenant mix changed).
-    pub fairness_spread: f64,
-    /// Wall-clock of the whole cluster run in milliseconds
-    /// (machine-dependent: warns, never gates).
-    pub wall_ms: f64,
-}
-
-/// Parsed, schema-checked `BENCH_scale.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleReport {
-    /// Mailbox stripes the fabric ran with.
-    pub stripes: f64,
-    /// Flat-vs-tree coordinator rendezvous wall-clock curves.
-    pub rendezvous_wallclock: Vec<RendezvousRow>,
-    /// Neighbor p2p drain virtual makespans.
-    pub p2p_drain: Vec<ScaleRow>,
-    /// Allreduce virtual makespans.
-    pub allreduce: Vec<ScaleRow>,
-    /// Full-stack checkpoint rendezvous virtual makespans.
-    pub ckpt_rendezvous: Vec<ScaleRow>,
-    /// Leader takeovers recovered by the coordinator failover battery
-    /// (one scripted kill per barrier phase — fully deterministic).
-    pub failover_recovery_rounds: f64,
-    /// The multi-tenant saturation battery.
-    pub cluster: ClusterSection,
-}
-
-/// One scenario row of `BENCH_matrix.json` (see `stool::scenario`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixRow {
-    /// Scenario name (unique within the matrix).
-    pub name: String,
-    /// Application token ("ring", "wave", ...).
-    pub app: String,
-    /// Launch vendor label ("MPICH", "Open MPI").
-    pub vendor: String,
-    /// Whether the row belongs to the pinned PR-CI subset.
-    pub pr: bool,
-    /// Whether every invariant held.
-    pub passed: bool,
-    /// Global restarts forced by kill events (deterministic: scheduled).
-    pub recovery_rounds: f64,
-    /// Kill events consumed (deterministic: scheduled).
-    pub kills: f64,
-    /// Epochs left on the final chain (warns on drift).
-    pub epochs: f64,
-    /// Tier upload retries observed (warns on drift).
-    pub put_retries: f64,
-    /// Straggler stalls recorded (warns on drift).
-    pub stalls: f64,
-    /// Replica failover recoveries observed (warns on drift).
-    pub elections: f64,
-    /// Invariant failures (empty iff `passed`).
-    pub failures: Vec<String>,
-}
-
-/// Parsed, schema-checked `BENCH_matrix.json` — the scenario-matrix
-/// harness's result artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixReport {
-    /// Which suite ran: "pr" (the pinned subset) or "full".
-    pub suite: String,
-    /// Total scenarios declared by the committed spec file (both suites).
-    pub spec_scenarios: f64,
-    /// One row per executed scenario, in spec order.
-    pub scenarios: Vec<MatrixRow>,
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn field<'j>(
@@ -563,362 +639,12 @@ fn no_extra_keys(
     Ok(())
 }
 
-fn positive(x: f64, what: &str) -> Result<f64, GateError> {
-    if x > 0.0 {
-        Ok(x)
-    } else {
-        Err(GateError::schema(format!("{what}: must be positive ({x})")))
-    }
-}
-
-fn non_negative(x: f64, what: &str) -> Result<f64, GateError> {
-    if x >= 0.0 {
-        Ok(x)
-    } else {
-        Err(GateError::schema(format!("{what}: negative ({x})")))
-    }
-}
-
-/// Strictly parse `BENCH_ckpt.json`.
-pub fn parse_ckpt_report(text: &str) -> Result<CkptReport, GateError> {
-    let doc = parse_json(text)?;
-    let top = doc.obj("top level")?;
-    no_extra_keys(top, "top level", &["bench", "workloads"])?;
-    let bench = field(top, "top level", "bench")?.str("bench")?;
-    if bench != "ckpt_store" {
-        return Err(GateError::schema(format!(
-            "bench: expected \"ckpt_store\", got \"{bench}\""
-        )));
-    }
-    let rows = field(top, "top level", "workloads")?.arr("workloads")?;
-    if rows.is_empty() {
-        return Err(GateError::schema("workloads: empty"));
-    }
-    let mut workloads = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let what = format!("workloads[{i}]");
-        let obj = row.obj(&what)?;
-        no_extra_keys(
-            obj,
-            &what,
-            &[
-                "name",
-                "epochs",
-                "full_base_bytes",
-                "delta_bytes_avg",
-                "delta_raw_bytes_avg",
-                "hashed_dirty_avg",
-                "hashed_full_avg",
-                "image_bytes",
-                "tier_shipped_bytes_avg",
-                "commit_wall_ms",
-                "sync_makespan_s",
-                "async_makespan_s",
-            ],
-        )?;
-        let name = field(obj, &what, "name")?.str("name")?.to_string();
-        if name.is_empty() {
-            return Err(GateError::schema(format!("{what}: empty name")));
-        }
-        workloads.push(CkptRow {
-            name,
-            epochs: positive(field(obj, &what, "epochs")?.num("epochs")?, "epochs")?,
-            full_base_bytes: positive(
-                field(obj, &what, "full_base_bytes")?.num("full_base_bytes")?,
-                "full_base_bytes",
-            )?,
-            delta_bytes_avg: non_negative(
-                field(obj, &what, "delta_bytes_avg")?.num("delta_bytes_avg")?,
-                "delta_bytes_avg",
-            )?,
-            delta_raw_bytes_avg: non_negative(
-                field(obj, &what, "delta_raw_bytes_avg")?.num("delta_raw_bytes_avg")?,
-                "delta_raw_bytes_avg",
-            )?,
-            hashed_dirty_avg: non_negative(
-                field(obj, &what, "hashed_dirty_avg")?.num("hashed_dirty_avg")?,
-                "hashed_dirty_avg",
-            )?,
-            hashed_full_avg: non_negative(
-                field(obj, &what, "hashed_full_avg")?.num("hashed_full_avg")?,
-                "hashed_full_avg",
-            )?,
-            image_bytes: positive(
-                field(obj, &what, "image_bytes")?.num("image_bytes")?,
-                "image_bytes",
-            )?,
-            tier_shipped_bytes_avg: positive(
-                field(obj, &what, "tier_shipped_bytes_avg")?.num("tier_shipped_bytes_avg")?,
-                "tier_shipped_bytes_avg",
-            )?,
-            commit_wall_ms: positive(
-                field(obj, &what, "commit_wall_ms")?.num("commit_wall_ms")?,
-                "commit_wall_ms",
-            )?,
-            sync_makespan_s: positive(
-                field(obj, &what, "sync_makespan_s")?.num("sync_makespan_s")?,
-                "sync_makespan_s",
-            )?,
-            async_makespan_s: positive(
-                field(obj, &what, "async_makespan_s")?.num("async_makespan_s")?,
-                "async_makespan_s",
-            )?,
-        });
-    }
-    Ok(CkptReport { workloads })
-}
-
-/// Strictly parse `BENCH_telemetry.json`.
-pub fn parse_telemetry_report(text: &str) -> Result<TelemetryReport, GateError> {
-    let doc = parse_json(text)?;
-    let top = doc.obj("top level")?;
-    no_extra_keys(
-        top,
-        "top level",
-        &[
-            "bench",
-            "events_per_round",
-            "rounds",
-            "emit_wall_ns",
-            "events_per_sec_wall",
-        ],
-    )?;
-    let bench = field(top, "top level", "bench")?.str("bench")?;
-    if bench != "telemetry" {
-        return Err(GateError::schema(format!(
-            "bench: expected \"telemetry\", got \"{bench}\""
-        )));
-    }
-    Ok(TelemetryReport {
-        events_per_round: positive(
-            field(top, "top level", "events_per_round")?.num("events_per_round")?,
-            "events_per_round",
-        )?,
-        rounds: positive(field(top, "top level", "rounds")?.num("rounds")?, "rounds")?,
-        emit_wall_ns: positive(
-            field(top, "top level", "emit_wall_ns")?.num("emit_wall_ns")?,
-            "emit_wall_ns",
-        )?,
-        events_per_sec_wall: positive(
-            field(top, "top level", "events_per_sec_wall")?.num("events_per_sec_wall")?,
-            "events_per_sec_wall",
-        )?,
-    })
-}
-
-fn parse_scale_rows(doc: &Json, what: &str) -> Result<Vec<ScaleRow>, GateError> {
-    let rows = doc.arr(what)?;
-    if rows.is_empty() {
-        return Err(GateError::schema(format!("{what}: empty")));
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let rw = format!("{what}[{i}]");
-        let obj = row.obj(&rw)?;
-        no_extra_keys(obj, &rw, &["ranks", "vendor", "virt_makespan_s"])?;
-        out.push(ScaleRow {
-            ranks: positive(field(obj, &rw, "ranks")?.num("ranks")?, "ranks")?,
-            vendor: field(obj, &rw, "vendor")?.str("vendor")?.to_string(),
-            virt_makespan_s: positive(
-                field(obj, &rw, "virt_makespan_s")?.num("virt_makespan_s")?,
-                "virt_makespan_s",
-            )?,
-        });
-    }
-    Ok(out)
-}
-
-/// Strictly parse `BENCH_scale.json`.
-pub fn parse_scale_report(text: &str) -> Result<ScaleReport, GateError> {
-    let doc = parse_json(text)?;
-    let top = doc.obj("top level")?;
-    no_extra_keys(
-        top,
-        "top level",
-        &[
-            "bench",
-            "stripes",
-            "failover_recovery_rounds",
-            "rendezvous_wallclock",
-            "p2p_drain",
-            "allreduce",
-            "ckpt_rendezvous",
-            "cluster",
-        ],
-    )?;
-    let bench = field(top, "top level", "bench")?.str("bench")?;
-    if bench != "scale" {
-        return Err(GateError::schema(format!(
-            "bench: expected \"scale\", got \"{bench}\""
-        )));
-    }
-    let rows = field(top, "top level", "rendezvous_wallclock")?.arr("rendezvous_wallclock")?;
-    if rows.is_empty() {
-        return Err(GateError::schema("rendezvous_wallclock: empty"));
-    }
-    let mut rendezvous = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let what = format!("rendezvous_wallclock[{i}]");
-        let obj = row.obj(&what)?;
-        no_extra_keys(obj, &what, &["ranks", "flat_ms", "tree_ms"])?;
-        rendezvous.push(RendezvousRow {
-            ranks: positive(field(obj, &what, "ranks")?.num("ranks")?, "ranks")?,
-            flat_ms: positive(field(obj, &what, "flat_ms")?.num("flat_ms")?, "flat_ms")?,
-            tree_ms: positive(field(obj, &what, "tree_ms")?.num("tree_ms")?, "tree_ms")?,
-        });
-    }
-    let cl = field(top, "top level", "cluster")?.obj("cluster")?;
-    no_extra_keys(
-        cl,
-        "cluster",
-        &["tenants", "epochs_total", "fairness_spread", "wall_ms"],
-    )?;
-    let cluster = ClusterSection {
-        tenants: positive(
-            field(cl, "cluster", "tenants")?.num("tenants")?,
-            "cluster.tenants",
-        )?,
-        epochs_total: positive(
-            field(cl, "cluster", "epochs_total")?.num("epochs_total")?,
-            "cluster.epochs_total",
-        )?,
-        fairness_spread: positive(
-            field(cl, "cluster", "fairness_spread")?.num("fairness_spread")?,
-            "cluster.fairness_spread",
-        )?,
-        wall_ms: positive(
-            field(cl, "cluster", "wall_ms")?.num("wall_ms")?,
-            "cluster.wall_ms",
-        )?,
-    };
-    Ok(ScaleReport {
-        stripes: positive(
-            field(top, "top level", "stripes")?.num("stripes")?,
-            "stripes",
-        )?,
-        cluster,
-        rendezvous_wallclock: rendezvous,
-        p2p_drain: parse_scale_rows(field(top, "top level", "p2p_drain")?, "p2p_drain")?,
-        allreduce: parse_scale_rows(field(top, "top level", "allreduce")?, "allreduce")?,
-        ckpt_rendezvous: parse_scale_rows(
-            field(top, "top level", "ckpt_rendezvous")?,
-            "ckpt_rendezvous",
-        )?,
-        failover_recovery_rounds: non_negative(
-            field(top, "top level", "failover_recovery_rounds")?.num("failover_recovery_rounds")?,
-            "failover_recovery_rounds",
-        )?,
-    })
-}
-
-fn boolean(j: &Json, what: &str) -> Result<bool, GateError> {
-    match j {
-        Json::Bool(b) => Ok(*b),
-        other => Err(GateError::schema(format!(
-            "{what}: expected bool, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-/// Strictly parse `BENCH_matrix.json`.
-pub fn parse_matrix_report(text: &str) -> Result<MatrixReport, GateError> {
-    let doc = parse_json(text)?;
-    let top = doc.obj("top level")?;
-    no_extra_keys(top, "top level", &["suite", "spec_scenarios", "scenarios"])?;
-    let suite = field(top, "top level", "suite")?.str("suite")?.to_string();
-    if suite != "pr" && suite != "full" {
-        return Err(GateError::schema(format!(
-            "suite: expected \"pr\" or \"full\", got \"{suite}\""
-        )));
-    }
-    let spec_scenarios = positive(
-        field(top, "top level", "spec_scenarios")?.num("spec_scenarios")?,
-        "spec_scenarios",
-    )?;
-    let rows = field(top, "top level", "scenarios")?.arr("scenarios")?;
-    if rows.is_empty() {
-        return Err(GateError::schema("scenarios: empty"));
-    }
-    let mut scenarios = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let what = format!("scenarios[{i}]");
-        let obj = row.obj(&what)?;
-        no_extra_keys(
-            obj,
-            &what,
-            &[
-                "name",
-                "app",
-                "vendor",
-                "pr",
-                "passed",
-                "recovery_rounds",
-                "kills",
-                "epochs",
-                "put_retries",
-                "stalls",
-                "elections",
-                "failures",
-            ],
-        )?;
-        let name = field(obj, &what, "name")?.str("name")?.to_string();
-        if name.is_empty() {
-            return Err(GateError::schema(format!("{what}: empty name")));
-        }
-        if scenarios.iter().any(|r: &MatrixRow| r.name == name) {
-            return Err(GateError::schema(format!(
-                "{what}: duplicate scenario name \"{name}\""
-            )));
-        }
-        let failures: Vec<String> = field(obj, &what, "failures")?
-            .arr("failures")?
-            .iter()
-            .enumerate()
-            .map(|(j, f)| f.str(&format!("{what}.failures[{j}]")).map(String::from))
-            .collect::<Result<_, _>>()?;
-        let passed = boolean(field(obj, &what, "passed")?, "passed")?;
-        if passed != failures.is_empty() {
-            return Err(GateError::schema(format!(
-                "{what}: passed={passed} contradicts {} recorded failure(s)",
-                failures.len()
-            )));
-        }
-        scenarios.push(MatrixRow {
-            name,
-            app: field(obj, &what, "app")?.str("app")?.to_string(),
-            vendor: field(obj, &what, "vendor")?.str("vendor")?.to_string(),
-            pr: boolean(field(obj, &what, "pr")?, "pr")?,
-            passed,
-            recovery_rounds: non_negative(
-                field(obj, &what, "recovery_rounds")?.num("recovery_rounds")?,
-                "recovery_rounds",
-            )?,
-            kills: non_negative(field(obj, &what, "kills")?.num("kills")?, "kills")?,
-            epochs: non_negative(field(obj, &what, "epochs")?.num("epochs")?, "epochs")?,
-            put_retries: non_negative(
-                field(obj, &what, "put_retries")?.num("put_retries")?,
-                "put_retries",
-            )?,
-            stalls: non_negative(field(obj, &what, "stalls")?.num("stalls")?, "stalls")?,
-            elections: non_negative(
-                field(obj, &what, "elections")?.num("elections")?,
-                "elections",
-            )?,
-            failures,
-        });
-    }
-    if scenarios.len() > spec_scenarios as usize {
-        return Err(GateError::schema(format!(
-            "scenarios: {} rows exceed spec_scenarios = {}",
-            scenarios.len(),
-            spec_scenarios
-        )));
-    }
-    Ok(MatrixReport {
-        suite,
-        spec_scenarios,
-        scenarios,
+fn suite(j: &Json, what: &str) -> Result<Suite, GateError> {
+    let name = j.str(what)?;
+    Suite::from_name(name).ok_or_else(|| {
+        GateError::schema(format!(
+            "{what}: unknown suite \"{name}\" (expected \"pr\" or \"full\")"
+        ))
     })
 }
 
@@ -929,11 +655,11 @@ pub fn parse_matrix_report(text: &str) -> Result<MatrixReport, GateError> {
 /// What the comparison concluded.
 #[derive(Debug, Default)]
 pub struct GateOutcome {
-    /// Hard failures: deterministic metrics beyond tolerance.
+    /// Hard failures: gated metrics beyond their check.
     pub regressions: Vec<String>,
-    /// Soft findings: wall-clock drift, rows present in only one side.
+    /// Soft findings: wall-clock and observation drift.
     pub warnings: Vec<String>,
-    /// Metrics that passed (for the log).
+    /// Gated metrics that passed (for the log).
     pub passed: usize,
 }
 
@@ -944,371 +670,97 @@ impl GateOutcome {
     }
 }
 
-/// `fresh` must not exceed `base` by more than [`TOLERANCE`]
-/// (lower-is-better metrics).
-fn check_upper(out: &mut GateOutcome, what: &str, base: f64, fresh: f64) {
-    if fresh > base * (1.0 + TOLERANCE) {
-        out.regressions.push(format!(
-            "{what}: {fresh:.6} vs baseline {base:.6} (+{:.1}% > {:.0}% tolerance)",
-            (fresh / base - 1.0) * 100.0,
-            TOLERANCE * 100.0
-        ));
-    } else {
-        out.passed += 1;
-    }
-}
-
-/// `fresh` must not fall below `base` by more than [`TOLERANCE`]
-/// (higher-is-better metrics, e.g. the delta-bytes ratio).
-fn check_lower(out: &mut GateOutcome, what: &str, base: f64, fresh: f64) {
-    if fresh < base * (1.0 - TOLERANCE) {
-        out.regressions.push(format!(
-            "{what}: {fresh:.6} vs baseline {base:.6} (-{:.1}% > {:.0}% tolerance)",
-            (1.0 - fresh / base) * 100.0,
-            TOLERANCE * 100.0
-        ));
-    } else {
-        out.passed += 1;
-    }
-}
-
-/// Compare a fresh checkpoint-store report against the committed baseline.
-pub fn compare_ckpt(out: &mut GateOutcome, base: &CkptReport, fresh: &CkptReport) {
-    for b in &base.workloads {
-        let Some(f) = fresh.workloads.iter().find(|w| w.name == b.name) else {
-            out.regressions
-                .push(format!("ckpt workload \"{}\" disappeared", b.name));
-            continue;
-        };
-        check_lower(
-            out,
-            &format!("ckpt/{}/delta_ratio", b.name),
-            b.delta_ratio(),
-            f.delta_ratio(),
-        );
-        // The two cost-reducer ratios are deterministic (content-defined
-        // chunking, content-keyed dedup, deterministic codecs on
-        // deterministic virtual-time workloads): they gate hard.
-        check_lower(
-            out,
-            &format!("ckpt/{}/hash_skip_ratio", b.name),
-            b.hash_skip_ratio(),
-            f.hash_skip_ratio(),
-        );
-        check_lower(
-            out,
-            &format!("ckpt/{}/compression_ratio", b.name),
-            b.compression_ratio(),
-            f.compression_ratio(),
-        );
-        // Dedup at the remote tier: shipped bytes per sealed epoch are a
-        // pure function of the (virtual-time-deterministic) chain, so a
-        // collapse means the shipper started re-uploading old content.
-        check_lower(
-            out,
-            &format!("ckpt/{}/tier_dedup_ratio", b.name),
-            b.tier_dedup_ratio(),
-            f.tier_dedup_ratio(),
-        );
-        check_upper(
-            out,
-            &format!("ckpt/{}/sync_makespan_s", b.name),
-            b.sync_makespan_s,
-            f.sync_makespan_s,
-        );
-        check_upper(
-            out,
-            &format!("ckpt/{}/async_makespan_s", b.name),
-            b.async_makespan_s,
-            f.async_makespan_s,
-        );
-        // Commit wall-clock is machine-dependent: drift only warns.
-        if f.commit_wall_ms > b.commit_wall_ms * (1.0 + TOLERANCE) {
-            out.warnings.push(format!(
-                "ckpt/{}/commit_wall_ms: {:.3} ms vs baseline {:.3} ms (wall-clock; not gated)",
-                b.name, f.commit_wall_ms, b.commit_wall_ms
-            ));
-        }
-    }
-    for f in &fresh.workloads {
-        if !base.workloads.iter().any(|w| w.name == f.name) {
-            out.warnings.push(format!(
-                "ckpt workload \"{}\" has no baseline yet (run with --write-baselines)",
-                f.name
-            ));
-        }
-    }
-}
-
-/// Compare a fresh telemetry-overhead report against the committed
-/// baseline.
-pub fn compare_telemetry(out: &mut GateOutcome, base: &TelemetryReport, fresh: &TelemetryReport) {
-    // The fixed workload commits a deterministic number of epochs: any
-    // drift means the schedule itself changed, which invalidates the
-    // per-round comparison.
-    if fresh.rounds != base.rounds {
-        out.regressions.push(format!(
-            "telemetry/rounds: {} vs baseline {} (deterministic; must match)",
-            fresh.rounds, base.rounds
-        ));
-    } else {
-        out.passed += 1;
-    }
-    // Events per round gate hard both ways: fewer means instrumentation
-    // silently fell off a code path, more means the hot control plane
-    // grew chatty.
-    check_upper(
-        out,
-        "telemetry/events_per_round",
-        base.events_per_round,
-        fresh.events_per_round,
-    );
-    check_lower(
-        out,
-        "telemetry/events_per_round",
-        base.events_per_round,
-        fresh.events_per_round,
-    );
-    // Per-emit wall cost is machine-dependent: drift only warns.
-    if fresh.emit_wall_ns > base.emit_wall_ns * (1.0 + TOLERANCE) {
-        out.warnings.push(format!(
-            "telemetry/emit_wall_ns: {:.1} ns vs baseline {:.1} ns (wall-clock; not gated)",
-            fresh.emit_wall_ns, base.emit_wall_ns
-        ));
-    }
-}
-
-fn compare_scale_rows(out: &mut GateOutcome, metric: &str, base: &[ScaleRow], fresh: &[ScaleRow]) {
-    for b in base {
-        let Some(f) = fresh
-            .iter()
-            .find(|r| r.ranks == b.ranks && r.vendor == b.vendor)
-        else {
-            out.warnings.push(format!(
-                "scale/{metric}: no fresh row for ranks={} vendor={} (size set shrank?)",
-                b.ranks, b.vendor
-            ));
-            continue;
-        };
-        check_upper(
-            out,
-            &format!("scale/{metric}/{}r/{}", b.ranks, b.vendor),
-            b.virt_makespan_s,
-            f.virt_makespan_s,
-        );
-    }
-}
-
-/// Compare a fresh scale report against the committed baseline.
-pub fn compare_scale(out: &mut GateOutcome, base: &ScaleReport, fresh: &ScaleReport) {
-    // The failover battery is deterministic (scripted faults, injected
-    // clock): the takeover count must match the baseline exactly. Fewer
-    // means a phase stopped recovering; more means spurious elections.
-    if fresh.failover_recovery_rounds != base.failover_recovery_rounds {
-        out.regressions.push(format!(
-            "scale/failover_recovery_rounds: {} vs baseline {} (deterministic; must match)",
-            fresh.failover_recovery_rounds, base.failover_recovery_rounds
-        ));
-    } else {
-        out.passed += 1;
-    }
-    compare_scale_rows(out, "p2p_drain", &base.p2p_drain, &fresh.p2p_drain);
-    compare_scale_rows(out, "allreduce", &base.allreduce, &fresh.allreduce);
-    compare_scale_rows(
-        out,
-        "ckpt_rendezvous",
-        &base.ckpt_rendezvous,
-        &fresh.ckpt_rendezvous,
-    );
-    // Wall-clock curves: machine-dependent, so *drift* vs baseline only
-    // warns — but two same-machine shape properties gate hard: the curves
-    // must cover ≥ 512 ranks, and the tree barrier must not lose to the
-    // flat barrier at the largest world (with generous noise headroom:
-    // flat and tree are measured back-to-back on the same machine, so the
-    // ratio is far more stable than either absolute number).
-    let max_row = fresh
-        .rendezvous_wallclock
-        .iter()
-        .max_by(|a, b| a.ranks.total_cmp(&b.ranks))
-        .expect("schema guarantees non-empty");
-    if max_row.ranks < 512.0 {
-        out.regressions.push(format!(
-            "scale/rendezvous_wallclock: largest world is {} ranks, need >= 512",
-            max_row.ranks
-        ));
-    } else {
-        out.passed += 1;
-    }
-    if max_row.tree_ms > max_row.flat_ms * (1.0 + TREE_HEADROOM) {
-        out.regressions.push(format!(
-            "scale/rendezvous_wallclock/{}r: tree barrier ({:.3} ms) lost to the flat \
-             barrier ({:.3} ms) by more than {:.0}% — the tree topology has regressed",
-            max_row.ranks,
-            max_row.tree_ms,
-            max_row.flat_ms,
-            TREE_HEADROOM * 100.0
-        ));
-    } else {
-        out.passed += 1;
-    }
-    for b in &base.rendezvous_wallclock {
-        if let Some(f) = fresh
-            .rendezvous_wallclock
-            .iter()
-            .find(|r| r.ranks == b.ranks)
-        {
-            if f.tree_ms > b.tree_ms * (1.0 + TOLERANCE) {
-                out.warnings.push(format!(
-                    "scale/rendezvous_wallclock/{}r: tree {:.3} ms vs baseline {:.3} ms \
-                     (wall-clock; not gated)",
-                    b.ranks, f.tree_ms, b.tree_ms
-                ));
-            }
-        }
-    }
-    // The multi-tenant saturation battery runs a fixed config: the
-    // tenant count and the total committed epochs are deterministic and
-    // must match the baseline exactly (a drift means the config or the
-    // checkpoint schedule silently changed, which invalidates the
-    // fairness comparison).
-    if fresh.cluster.tenants != base.cluster.tenants {
-        out.regressions.push(format!(
-            "scale/cluster/tenants: {} vs baseline {} (deterministic; must match)",
-            fresh.cluster.tenants, base.cluster.tenants
-        ));
-    } else {
-        out.passed += 1;
-    }
-    if fresh.cluster.epochs_total != base.cluster.epochs_total {
-        out.regressions.push(format!(
-            "scale/cluster/epochs_total: {} vs baseline {} (deterministic; must match)",
-            fresh.cluster.epochs_total, base.cluster.epochs_total
-        ));
-    } else {
-        out.passed += 1;
-    }
-    // Fairness gates in both directions: a wider spread means the shared
-    // committer/tier/pool stopped treating tenants fairly, a narrower
-    // one means the tenant mix itself changed under the gate's feet.
-    check_upper(
-        out,
-        "scale/cluster/fairness_spread",
-        base.cluster.fairness_spread,
-        fresh.cluster.fairness_spread,
-    );
-    check_lower(
-        out,
-        "scale/cluster/fairness_spread",
-        base.cluster.fairness_spread,
-        fresh.cluster.fairness_spread,
-    );
-    if fresh.cluster.wall_ms > base.cluster.wall_ms * (1.0 + TOLERANCE) {
-        out.warnings.push(format!(
-            "scale/cluster/wall_ms: {:.3} ms vs baseline {:.3} ms (wall-clock; not gated)",
-            fresh.cluster.wall_ms, base.cluster.wall_ms
-        ));
-    }
-}
-
-/// The committed scenario matrix must keep at least this many rows (the
-/// harness's raison d'être: breadth as data, not bespoke tests).
-pub const MIN_MATRIX_SCENARIOS: f64 = 24.0;
-
-/// Compare a fresh scenario-matrix report against the committed baseline.
+/// Diff `fresh` against its baseline by metric name, adding each verdict
+/// to `out`.
 ///
-/// Every gated metric here is fully deterministic (scheduled faults on a
-/// virtual clock), so the checks are *exact*: the executed row set must be
-/// the baseline's rows for the suite that ran ("pr" → the pinned subset,
-/// "full" → everything), every row must pass its invariants, and the
-/// recovery-round / kill counts must match the baseline. Environment-tinged
-/// observations (epochs retained, tier retries, stalls, elections) warn on
-/// drift.
-pub fn compare_matrix(out: &mut GateOutcome, base: &MatrixReport, fresh: &MatrixReport) {
-    if fresh.spec_scenarios != base.spec_scenarios {
-        out.regressions.push(format!(
-            "matrix/spec_scenarios: {} vs baseline {} (regenerate the baseline when the \
-             committed spec changes)",
-            fresh.spec_scenarios, base.spec_scenarios
-        ));
-    } else {
-        out.passed += 1;
-    }
-    if fresh.spec_scenarios < MIN_MATRIX_SCENARIOS {
-        out.regressions.push(format!(
-            "matrix/spec_scenarios: {} rows, the committed matrix must keep >= {}",
-            fresh.spec_scenarios, MIN_MATRIX_SCENARIOS
-        ));
-    } else {
-        out.passed += 1;
-    }
-    let expected: Vec<&MatrixRow> = base
-        .scenarios
+/// The two metric sets must line up, or the input is unusable (exit 2): a
+/// baseline metric whose suites include the fresh report's suite must be
+/// present, every fresh metric must have a baseline with the same unit,
+/// check and suites, and a relative check needs a non-zero baseline.
+pub fn compare(out: &mut GateOutcome, base: &Report, fresh: &Report) -> Result<(), GateError> {
+    if let Some(b) = base
+        .metrics
         .iter()
-        .filter(|r| fresh.suite == "full" || r.pr)
-        .collect();
-    let expected_names: Vec<&str> = expected.iter().map(|r| r.name.as_str()).collect();
-    let fresh_names: Vec<&str> = fresh.scenarios.iter().map(|r| r.name.as_str()).collect();
-    if expected_names != fresh_names {
-        out.regressions.push(format!(
-            "matrix/{}: executed rows {fresh_names:?} differ from the baseline's suite rows \
-             {expected_names:?}",
-            fresh.suite
-        ));
-        return;
+        .find(|b| b.suites.contains(&fresh.suite) && fresh.get(&b.name).is_none())
+    {
+        return Err(GateError::schema(format!(
+            "{}: in the baseline but missing from the fresh {} report",
+            b.name,
+            fresh.suite.name()
+        )));
     }
-    out.passed += 1;
-    for (b, f) in expected.iter().zip(&fresh.scenarios) {
-        let row = format!("matrix/{}", b.name);
-        if !f.passed {
-            out.regressions.push(format!(
-                "{row}: invariant failure(s): {}",
-                f.failures.join("; ")
-            ));
-        } else {
-            out.passed += 1;
+    for f in &fresh.metrics {
+        let b = base.get(&f.name).ok_or_else(|| {
+            GateError::schema(format!(
+                "{}: unknown metric (no baseline; refresh with --write-baselines)",
+                f.name
+            ))
+        })?;
+        if (&f.unit, f.check, &f.suites) != (&b.unit, b.check, &b.suites) {
+            return Err(GateError::schema(format!(
+                "{}: unit/check/suites {}/{}/{:?} drifted from the baseline's {}/{}/{:?}",
+                f.name, f.unit, f.check, f.suites, b.unit, b.check, b.suites
+            )));
         }
-        if f.app != b.app || f.vendor != b.vendor || f.pr != b.pr {
-            out.regressions.push(format!(
-                "{row}: identity drift (app/vendor/pr {}/{}/{} vs baseline {}/{}/{})",
-                f.app, f.vendor, f.pr, b.app, b.vendor, b.pr
-            ));
-        } else {
-            out.passed += 1;
+        if f.check.relative() && b.value == 0.0 {
+            return Err(GateError::schema(format!(
+                "{}: a zero baseline cannot anchor a relative check",
+                f.name
+            )));
         }
-        if f.recovery_rounds != b.recovery_rounds {
-            out.regressions.push(format!(
-                "{row}/recovery_rounds: {} vs baseline {} (deterministic; must match)",
-                f.recovery_rounds, b.recovery_rounds
-            ));
-        } else {
-            out.passed += 1;
+        judge(out, f, b.value);
+    }
+    Ok(())
+}
+
+fn judge(out: &mut GateOutcome, m: &Metric, base: f64) {
+    let v = m.value;
+    let high = v > base * (1.0 + TOLERANCE);
+    let low = v < base * (1.0 - TOLERANCE);
+    let beyond = || {
+        format!(
+            "{v} vs baseline {base} ({:+.1}%, beyond the {:.0}% tolerance)",
+            (v / base - 1.0) * 100.0,
+            TOLERANCE * 100.0
+        )
+    };
+    let failure = match m.check {
+        Check::Exact => (v != base).then(|| format!("{v} vs baseline {base} (exact; must match)")),
+        Check::Drop => low.then(beyond),
+        Check::Rise => high.then(beyond),
+        Check::Band => (low || high).then(beyond),
+        Check::AtMost(ceiling) => {
+            (v > ceiling).then(|| format!("{v} is above the ceiling {ceiling}"))
         }
-        if f.kills != b.kills {
-            out.regressions.push(format!(
-                "{row}/kills: {} vs baseline {} (deterministic; must match)",
-                f.kills, b.kills
-            ));
-        } else {
-            out.passed += 1;
+        Check::AtLeast(floor) => (v < floor).then(|| format!("{v} is below the floor {floor}")),
+        Check::WarnRise => {
+            if high {
+                out.warnings
+                    .push(format!("{}: {} (wall-clock; not gated)", m.name, beyond()));
+            }
+            return;
         }
-        for (what, fv, bv) in [
-            ("epochs", f.epochs, b.epochs),
-            ("put_retries", f.put_retries, b.put_retries),
-            ("stalls", f.stalls, b.stalls),
-            ("elections", f.elections, b.elections),
-        ] {
-            if fv != bv {
+        Check::WarnChange => {
+            if v != base {
                 out.warnings.push(format!(
-                    "{row}/{what}: {fv} vs baseline {bv} (observation; not gated)"
+                    "{}: {v} vs baseline {base} (observation; not gated)",
+                    m.name
                 ));
             }
+            return;
         }
+    };
+    match failure {
+        Some(why) => out.regressions.push(format!("{}: {why}", m.name)),
+        None => out.passed += 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::matrix_report;
+    use stool::{ScenarioResult, Vendor};
 
     #[test]
     fn parses_scalars_arrays_objects() {
@@ -1345,445 +797,607 @@ mod tests {
         assert_eq!(doc.obj("t").unwrap()["k"].str("k").unwrap(), "héllo → ∞");
     }
 
-    fn ckpt_json_full(
-        delta: u64,
-        hashed_dirty: u64,
-        tier_shipped: u64,
-        sync_s: f64,
-        async_s: f64,
-    ) -> String {
-        format!(
-            "{{\"bench\": \"ckpt_store\", \"workloads\": [\
-             {{\"name\": \"wave_mpi\", \"epochs\": 4, \"full_base_bytes\": 1000, \
-             \"delta_bytes_avg\": {delta}, \"delta_raw_bytes_avg\": 800, \
-             \"hashed_dirty_avg\": {hashed_dirty}, \"hashed_full_avg\": 1200, \
-             \"image_bytes\": 1200, \"tier_shipped_bytes_avg\": {tier_shipped}, \
-             \"commit_wall_ms\": 2.5, \
-             \"sync_makespan_s\": {sync_s}, \"async_makespan_s\": {async_s}}}]}}"
-        )
+    /// Gate `fresh` against `base` the way `benchgate` does: through the
+    /// one writer and the strict reader first.
+    fn gate(base: &Report, fresh: &Report) -> Result<GateOutcome, GateError> {
+        let fresh = Report::parse(&fresh.to_json())?;
+        let mut out = GateOutcome::default();
+        compare(&mut out, base, &fresh)?;
+        Ok(out)
     }
 
-    fn ckpt_json_ext(delta: u64, hashed_dirty: u64, sync_s: f64, async_s: f64) -> String {
-        ckpt_json_full(delta, hashed_dirty, 600, sync_s, async_s)
+    fn passes(base: &Report, fresh: &Report) -> GateOutcome {
+        let out = gate(base, fresh).expect("well-formed");
+        assert!(out.ok(), "{:?}", out.regressions);
+        out
     }
 
-    fn ckpt_json(delta: u64, sync_s: f64, async_s: f64) -> String {
-        ckpt_json_ext(delta, 400, sync_s, async_s)
+    /// Assert the gate fails with a regression naming `what`.
+    fn fails(base: &Report, fresh: &Report, what: &str) {
+        let out = gate(base, fresh).expect("well-formed");
+        assert!(
+            out.regressions.iter().any(|r| r.contains(what)),
+            "expected a regression naming {what}: {:?}",
+            out.regressions
+        );
+    }
+
+    /// Assert the inputs are unusable (benchgate exit 2) with a reason
+    /// naming `what`.
+    fn unusable(base: &Report, fresh: &Report, what: &str) {
+        let err = gate(base, fresh).expect_err("must be rejected").to_string();
+        assert!(err.contains(what), "expected an error naming {what}: {err}");
+    }
+
+    fn with(report: &Report, name: &str, value: f64) -> Report {
+        let mut r = report.clone();
+        r.metrics
+            .iter_mut()
+            .find(|m| m.name == name)
+            .unwrap_or_else(|| panic!("no metric {name}"))
+            .value = value;
+        r
+    }
+
+    fn without(report: &Report, name: &str) -> Report {
+        let mut r = report.clone();
+        r.metrics.retain(|m| m.name != name);
+        r
+    }
+
+    /// Shaped like the store bench's emit.
+    fn ckpt_report() -> Report {
+        let mut r = Report::new(Suite::Full);
+        for (what, value, unit, check) in [
+            ("delta_ratio", 2.0, "ratio", Check::Drop),
+            ("hash_skip_ratio", 3.0, "ratio", Check::Drop),
+            ("compression_ratio", 1.6, "ratio", Check::Drop),
+            ("tier_dedup_ratio", 2.0, "ratio", Check::Drop),
+            ("sync_makespan_s", 2.0, "s", Check::Rise),
+            ("async_makespan_s", 1.5, "s", Check::Rise),
+            ("commit_wall_ms", 2.5, "ms", Check::WarnRise),
+        ] {
+            r.push(
+                format!("ckpt/wave_mpi/{what}"),
+                value,
+                unit,
+                check,
+                EVERY_SUITE,
+            );
+        }
+        r
     }
 
     #[test]
-    fn ckpt_schema_accepts_wellformed() {
-        let r = parse_ckpt_report(&ckpt_json(500, 2.0, 1.5)).unwrap();
-        assert_eq!(r.workloads.len(), 1);
-        assert_eq!(r.workloads[0].delta_ratio(), 2.0);
-        assert_eq!(r.workloads[0].hash_skip_ratio(), 3.0);
-        assert_eq!(r.workloads[0].compression_ratio(), 1.6);
-        assert_eq!(r.workloads[0].tier_dedup_ratio(), 2.0);
+    fn report_round_trips_through_the_writer() {
+        let mut r = ckpt_report();
+        r.push(
+            "odd \"name\" \\ with\nescapes → ∞",
+            0.1 + 0.2,
+            "ratio",
+            Check::AtMost(1.25),
+            FULL_ONLY,
+        );
+        r.push(
+            "floor",
+            27.0,
+            "rows",
+            Check::AtLeast(24.0),
+            &[Suite::Full, Suite::Pr],
+        );
+        let text = r.to_json();
+        assert!(text.contains("\"check\": \"at_most 1.25\""), "{text}");
+        assert!(text.contains("\"suites\": [\"pr\", \"full\"]"), "{text}");
+        assert_eq!(Report::parse(&text).unwrap(), r);
+        assert_eq!(r.get("floor").unwrap().suites, EVERY_SUITE);
     }
 
     #[test]
-    fn ckpt_schema_rejects_missing_and_unknown_keys() {
-        let missing = "{\"bench\": \"ckpt_store\", \"workloads\": [{\"name\": \"w\"}]}";
-        assert!(parse_ckpt_report(missing).is_err());
-        let unknown = ckpt_json(500, 2.0, 1.5).replace("\"epochs\"", "\"epochz\"");
-        assert!(parse_ckpt_report(&unknown).is_err());
-        let wrong_bench = ckpt_json(500, 2.0, 1.5).replace("ckpt_store", "other");
-        assert!(parse_ckpt_report(&wrong_bench).is_err());
+    fn report_schema_rejects_missing_and_unknown_keys() {
+        let text = ckpt_report().to_json();
+        assert!(Report::parse(&text).is_ok());
+        for (from, to) in [
+            // A metric without its check, an unknown metric key, an
+            // unknown top-level key.
+            (", \"check\": \"drop\"", ""),
+            ("\"unit\"", "\"units\""),
+            (
+                "\"suite\": \"full\"",
+                "\"suite\": \"full\", \"bench\": \"ckpt_store\"",
+            ),
+            // Unknown suite names, checks and bounds.
+            ("\"suite\": \"full\"", "\"suite\": \"nightly\""),
+            ("[\"pr\", \"full\"]", "[\"pr\", \"nightly\"]"),
+            ("\"drop\"", "\"within\""),
+            ("\"drop\"", "\"at_most x\""),
+            // Suites that are empty, repeated, or exclude the report's own.
+            ("[\"pr\", \"full\"]", "[]"),
+            ("[\"pr\", \"full\"]", "[\"full\", \"full\"]"),
+            ("[\"pr\", \"full\"]", "[\"pr\"]"),
+            // A duplicate metric name.
+            ("compression_ratio", "delta_ratio"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} not in the fixture");
+            assert!(Report::parse(&bad).is_err(), "accepted {from} -> {to}");
+        }
+        assert!(Report::parse("{\"suite\": \"full\", \"metrics\": []}").is_err());
+        assert!(Report::parse("{\"suite\": \"full\"}").is_err());
     }
 
     #[test]
-    fn ckpt_schema_rejects_nonsense_numbers() {
-        assert!(parse_ckpt_report(&ckpt_json(500, -2.0, 1.5)).is_err());
-        let zero_base =
-            ckpt_json(500, 2.0, 1.5).replace("\"full_base_bytes\": 1000", "\"full_base_bytes\": 0");
-        assert!(parse_ckpt_report(&zero_base).is_err());
+    fn report_schema_rejects_nonsense_numbers() {
+        let text = ckpt_report().to_json();
+        for bad in ["-2", "1e999", "\"2\"", "null"] {
+            let doc = text.replacen("\"value\": 2,", &format!("\"value\": {bad},"), 1);
+            assert_ne!(doc, text);
+            assert!(Report::parse(&doc).is_err(), "accepted value {bad}");
+        }
     }
 
     #[test]
     fn regression_gate_trips_beyond_tolerance() {
-        let base = parse_ckpt_report(&ckpt_json(500, 2.0, 1.5)).unwrap();
-        // Within tolerance: passes.
-        let ok = parse_ckpt_report(&ckpt_json(550, 2.2, 1.6)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_ckpt(&mut out, &base, &ok);
-        assert!(out.ok(), "{:?}", out.regressions);
-        // Delta bytes ballooned (ratio collapsed): fails.
-        let worse = parse_ckpt_report(&ckpt_json(900, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_ckpt(&mut out, &base, &worse);
-        assert!(!out.ok());
-        assert!(out.regressions[0].contains("delta_ratio"));
+        let base = ckpt_report();
+        // Within tolerance on every gated metric: passes.
+        let mut ok = with(&base, "ckpt/wave_mpi/delta_ratio", 1.75);
+        ok = with(&ok, "ckpt/wave_mpi/sync_makespan_s", 2.2);
+        ok = with(&ok, "ckpt/wave_mpi/async_makespan_s", 1.6);
+        assert_eq!(passes(&base, &ok).passed, 6);
+        // Delta bytes ballooned (ratio collapsed), dirty tracking or
+        // compression or tier dedup collapsed: fails.
+        for name in [
+            "delta_ratio",
+            "hash_skip_ratio",
+            "compression_ratio",
+            "tier_dedup_ratio",
+        ] {
+            let name = format!("ckpt/wave_mpi/{name}");
+            fails(&base, &with(&base, &name, 1.0), &name);
+        }
         // Makespan regressed 30%: fails.
-        let slower = parse_ckpt_report(&ckpt_json(500, 2.6, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_ckpt(&mut out, &base, &slower);
-        assert!(!out.ok());
-        assert!(out.regressions[0].contains("sync_makespan_s"));
-        // Dirty tracking collapsed (hashed bytes tripled): fails.
-        let rehash = parse_ckpt_report(&ckpt_json_ext(500, 1200, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_ckpt(&mut out, &base, &rehash);
-        assert!(!out.ok());
-        assert!(out.regressions[0].contains("hash_skip_ratio"));
-        // Compression collapsed (delta bytes back at raw size): the
-        // delta and compression ratios both trip.
-        let fat = parse_ckpt_report(&ckpt_json_ext(800, 400, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_ckpt(&mut out, &base, &fat);
-        assert!(!out.ok());
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("compression_ratio")));
-        // Tier dedup collapsed (shipped bytes doubled): fails.
-        let reship = parse_ckpt_report(&ckpt_json_full(500, 400, 1200, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_ckpt(&mut out, &base, &reship);
-        assert!(!out.ok());
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("tier_dedup_ratio")));
+        fails(
+            &base,
+            &with(&base, "ckpt/wave_mpi/sync_makespan_s", 2.6),
+            "sync_makespan_s",
+        );
+        // Improvements never fail.
+        passes(&base, &with(&base, "ckpt/wave_mpi/delta_ratio", 9.0));
+        passes(&base, &with(&base, "ckpt/wave_mpi/async_makespan_s", 0.1));
     }
 
     #[test]
     fn commit_wall_clock_drift_warns_but_never_gates() {
-        let base = parse_ckpt_report(&ckpt_json(500, 2.0, 1.5)).unwrap();
-        let slow_machine =
-            ckpt_json(500, 2.0, 1.5).replace("\"commit_wall_ms\": 2.5", "\"commit_wall_ms\": 50.0");
-        let fresh = parse_ckpt_report(&slow_machine).unwrap();
-        let mut out = GateOutcome::default();
-        compare_ckpt(&mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
+        let base = ckpt_report();
+        let slow_machine = with(&base, "ckpt/wave_mpi/commit_wall_ms", 50.0);
+        let out = passes(&base, &slow_machine);
         assert!(out.warnings.iter().any(|w| w.contains("commit_wall_ms")));
-    }
-
-    fn scale_json(virt: f64, max_ranks: u64) -> String {
-        format!(
-            "{{\"bench\": \"scale\", \"stripes\": 8, \"failover_recovery_rounds\": 4, \
-             \"rendezvous_wallclock\": [\
-             {{\"ranks\": 64, \"flat_ms\": 1.0, \"tree_ms\": 1.1}}, \
-             {{\"ranks\": {max_ranks}, \"flat_ms\": 40.0, \"tree_ms\": 12.0}}], \
-             \"p2p_drain\": [{{\"ranks\": 64, \"vendor\": \"MPICH\", \"virt_makespan_s\": {virt}}}], \
-             \"allreduce\": [{{\"ranks\": 64, \"vendor\": \"MPICH\", \"virt_makespan_s\": {virt}}}], \
-             \"ckpt_rendezvous\": [{{\"ranks\": 64, \"vendor\": \"MPICH\", \"virt_makespan_s\": {virt}}}], \
-             \"cluster\": {{\"tenants\": 4, \"epochs_total\": 12, \
-             \"fairness_spread\": 0.04, \"wall_ms\": 5.0}}}}"
-        )
+        let fast_machine = with(&base, "ckpt/wave_mpi/commit_wall_ms", 0.1);
+        assert!(passes(&base, &fast_machine).warnings.is_empty());
     }
 
     #[test]
-    fn scale_schema_and_gate() {
-        let base = parse_scale_report(&scale_json(1.0, 1024)).unwrap();
-        assert_eq!(base.rendezvous_wallclock.len(), 2);
-        let fresh = parse_scale_report(&scale_json(1.05, 1024)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_scale(&mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
+    fn metric_set_must_line_up_with_the_baseline() {
+        let base = ckpt_report();
+        // A metric disappeared, or appeared without a baseline.
+        unusable(
+            &base,
+            &without(&base, "ckpt/wave_mpi/delta_ratio"),
+            "missing",
+        );
+        let mut extra = base.clone();
+        extra.push(
+            "ckpt/wave_mpi/new_ratio",
+            1.0,
+            "ratio",
+            Check::Drop,
+            EVERY_SUITE,
+        );
+        unusable(&base, &extra, "unknown metric");
+        // Drift in a metric's unit, check or suites.
+        let drift = |f: &dyn Fn(&mut Metric)| {
+            let mut r = base.clone();
+            f(&mut r.metrics[0]);
+            r
+        };
+        unusable(&base, &drift(&|m| m.unit = "x".into()), "drifted");
+        unusable(&base, &drift(&|m| m.check = Check::Band), "drifted");
+        unusable(&base, &drift(&|m| m.suites = FULL_ONLY.to_vec()), "drifted");
+        // A zero baseline cannot anchor a relative check; a fresh zero
+        // against a real baseline is an ordinary regression.
+        let zero = with(&base, "ckpt/wave_mpi/delta_ratio", 0.0);
+        unusable(&zero, &base, "zero baseline");
+        fails(&base, &zero, "delta_ratio");
+    }
+
+    /// Shaped like the scale bench's emit: rank-keyed metrics up to
+    /// `max_ranks`, the ones above 512 ranks in the full suite only.
+    fn scale_report(suite: Suite, max_ranks: usize, virt: f64) -> Report {
+        let mut r = Report::new(suite);
+        r.push(
+            "scale/failover_recovery_rounds",
+            4.0,
+            "count",
+            Check::Exact,
+            EVERY_SUITE,
+        );
+        r.push(
+            "scale/cluster/tenants",
+            4.0,
+            "count",
+            Check::Exact,
+            EVERY_SUITE,
+        );
+        r.push(
+            "scale/cluster/epochs_total",
+            12.0,
+            "count",
+            Check::Exact,
+            EVERY_SUITE,
+        );
+        r.push(
+            "scale/cluster/fairness_spread",
+            0.04,
+            "ratio",
+            Check::Band,
+            EVERY_SUITE,
+        );
+        r.push(
+            "scale/cluster/wall_ms",
+            5.0,
+            "ms",
+            Check::WarnRise,
+            EVERY_SUITE,
+        );
+        r.push(
+            "scale/rendezvous/tree_over_flat",
+            0.3,
+            "ratio",
+            Check::AtMost(1.25),
+            EVERY_SUITE,
+        );
+        for ranks in [64, 256, 512, 1024].into_iter().filter(|&n| n <= max_ranks) {
+            let suites = if ranks <= 512 { EVERY_SUITE } else { FULL_ONLY };
+            r.push(
+                format!("scale/rendezvous/{ranks}/tree_ms"),
+                1.0,
+                "ms",
+                Check::WarnRise,
+                suites,
+            );
+            r.push(
+                format!("scale/allreduce/{ranks}/MPICH"),
+                virt,
+                "s",
+                Check::Rise,
+                suites,
+            );
+        }
+        r
+    }
+
+    #[test]
+    fn scale_gate() {
+        let base = scale_report(Suite::Full, 1024, 1.0);
+        let out = passes(&base, &scale_report(Suite::Full, 1024, 1.05));
+        assert!(out.warnings.is_empty(), "{:?}", out.warnings);
+        // The PR run's capped sweep leaves the 1024-rank rows out of its
+        // suite: no missing-row noise.
+        let out = passes(&base, &scale_report(Suite::Pr, 512, 1.05));
+        assert!(out.warnings.is_empty(), "{:?}", out.warnings);
         // 30% virtual-time regression trips the gate.
-        let slow = parse_scale_report(&scale_json(1.3, 1024)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_scale(&mut out, &base, &slow);
-        assert!(!out.ok());
-        // A fresh report whose largest world shrank below 512 fails hard.
-        let small = parse_scale_report(&scale_json(1.0, 256)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_scale(&mut out, &base, &small);
-        assert!(!out.ok());
-        assert!(out.regressions.iter().any(|r| r.contains(">= 512")));
+        fails(
+            &base,
+            &scale_report(Suite::Pr, 512, 1.3),
+            "scale/allreduce/64/MPICH",
+        );
+    }
+
+    #[test]
+    fn scale_report_capped_below_512_ranks_is_unusable() {
+        // The pr suite requires the 512-rank rows, so a sweep that shrank
+        // below 512 ranks fails, whatever suite it claims.
+        let base = scale_report(Suite::Full, 1024, 1.0);
+        unusable(&base, &scale_report(Suite::Pr, 256, 1.0), "/512/");
+        unusable(&base, &scale_report(Suite::Full, 512, 1.0), "/1024/");
     }
 
     #[test]
     fn failover_battery_count_gates_exactly() {
-        let base = parse_scale_report(&scale_json(1.0, 1024)).unwrap();
-        // Any drift in the deterministic takeover count trips the gate.
-        for wrong in ["3", "5", "0"] {
-            let drifted = scale_json(1.0, 1024).replace(
-                "\"failover_recovery_rounds\": 4",
-                &format!("\"failover_recovery_rounds\": {wrong}"),
-            );
-            let fresh = parse_scale_report(&drifted).unwrap();
-            let mut out = GateOutcome::default();
-            compare_scale(&mut out, &base, &fresh);
-            assert!(!out.ok(), "count {wrong} must fail the gate");
-            assert!(out
-                .regressions
-                .iter()
-                .any(|r| r.contains("failover_recovery_rounds")));
+        let base = scale_report(Suite::Full, 1024, 1.0);
+        for wrong in [3.0, 5.0, 0.0] {
+            let drifted = with(&base, "scale/failover_recovery_rounds", wrong);
+            fails(&base, &drifted, "failover_recovery_rounds");
         }
-        // A report missing the metric fails the schema outright.
-        let missing = scale_json(1.0, 1024).replace("\"failover_recovery_rounds\": 4, ", "");
-        assert!(parse_scale_report(&missing).is_err());
+        let missing = without(&base, "scale/failover_recovery_rounds");
+        unusable(&base, &missing, "failover_recovery_rounds");
     }
 
     #[test]
     fn cluster_saturation_gates_counts_exactly_and_fairness_at_tolerance() {
-        let base = parse_scale_report(&scale_json(1.0, 1024)).unwrap();
-        // The deterministic counts must match exactly.
-        for (from, to, what) in [
-            ("\"tenants\": 4", "\"tenants\": 5", "cluster/tenants"),
-            (
-                "\"epochs_total\": 12",
-                "\"epochs_total\": 11",
-                "cluster/epochs_total",
-            ),
-        ] {
-            let drifted = scale_json(1.0, 1024).replace(from, to);
-            let fresh = parse_scale_report(&drifted).unwrap();
-            let mut out = GateOutcome::default();
-            compare_scale(&mut out, &base, &fresh);
-            assert!(!out.ok(), "{what} drift must fail the gate");
-            assert!(out.regressions.iter().any(|r| r.contains(what)));
-        }
+        let base = scale_report(Suite::Full, 1024, 1.0);
+        fails(
+            &base,
+            &with(&base, "scale/cluster/tenants", 5.0),
+            "cluster/tenants",
+        );
+        fails(
+            &base,
+            &with(&base, "scale/cluster/epochs_total", 11.0),
+            "cluster/epochs_total",
+        );
         // Fairness spread within tolerance either way: passes.
-        for close in ["0.037", "0.045"] {
-            let near = scale_json(1.0, 1024).replace(
-                "\"fairness_spread\": 0.04",
-                &format!("\"fairness_spread\": {close}"),
-            );
-            let fresh = parse_scale_report(&near).unwrap();
-            let mut out = GateOutcome::default();
-            compare_scale(&mut out, &base, &fresh);
-            assert!(out.ok(), "{close}: {:?}", out.regressions);
+        for close in [0.037, 0.045] {
+            passes(&base, &with(&base, "scale/cluster/fairness_spread", close));
         }
-        // Beyond tolerance in either direction: fails.
-        for far in ["0.06", "0.02"] {
-            let drifted = scale_json(1.0, 1024).replace(
-                "\"fairness_spread\": 0.04",
-                &format!("\"fairness_spread\": {far}"),
-            );
-            let fresh = parse_scale_report(&drifted).unwrap();
-            let mut out = GateOutcome::default();
-            compare_scale(&mut out, &base, &fresh);
-            assert!(!out.ok(), "spread {far} must fail the gate");
-            assert!(out
-                .regressions
-                .iter()
-                .any(|r| r.contains("fairness_spread")));
+        // Beyond tolerance in either direction, or collapsed to zero: fails.
+        for far in [0.06, 0.02, 0.0] {
+            let drifted = with(&base, "scale/cluster/fairness_spread", far);
+            fails(&base, &drifted, "fairness_spread");
         }
         // Slow machine: cluster wall tripled — warns, never gates.
-        let slow = scale_json(1.0, 1024).replace("\"wall_ms\": 5.0", "\"wall_ms\": 15.0");
-        let fresh = parse_scale_report(&slow).unwrap();
-        let mut out = GateOutcome::default();
-        compare_scale(&mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
-        assert!(out.warnings.iter().any(|w| w.contains("cluster/wall_ms")));
-        // Schema: the section is mandatory, closed, and positive.
-        let missing = scale_json(1.0, 1024).replace(
-            ", \"cluster\": {\"tenants\": 4, \"epochs_total\": 12, \
-             \"fairness_spread\": 0.04, \"wall_ms\": 5.0}",
-            "",
-        );
-        assert!(parse_scale_report(&missing).is_err());
-        let unknown = scale_json(1.0, 1024).replace("\"wall_ms\"", "\"wall_mz\"");
-        assert!(parse_scale_report(&unknown).is_err());
-        let zero_spread =
-            scale_json(1.0, 1024).replace("\"fairness_spread\": 0.04", "\"fairness_spread\": 0");
-        assert!(parse_scale_report(&zero_spread).is_err());
-    }
-
-    fn telemetry_json(events_per_round: f64, rounds: u64, emit_ns: f64) -> String {
-        format!(
-            "{{\"bench\": \"telemetry\", \"events_per_round\": {events_per_round}, \
-             \"rounds\": {rounds}, \"emit_wall_ns\": {emit_ns}, \
-             \"events_per_sec_wall\": 50000000.0}}"
-        )
-    }
-
-    #[test]
-    fn telemetry_schema_accepts_wellformed_and_rejects_malformed() {
-        let r = parse_telemetry_report(&telemetry_json(20.0, 8, 25.0)).unwrap();
-        assert_eq!(r.events_per_round, 20.0);
-        assert_eq!(r.rounds, 8.0);
-        let wrong_bench = telemetry_json(20.0, 8, 25.0).replace("telemetry", "other");
-        assert!(parse_telemetry_report(&wrong_bench).is_err());
-        let missing = telemetry_json(20.0, 8, 25.0).replace("\"rounds\": 8, ", "");
-        assert!(parse_telemetry_report(&missing).is_err());
-        let unknown = telemetry_json(20.0, 8, 25.0).replace("\"rounds\"", "\"roundz\"");
-        assert!(parse_telemetry_report(&unknown).is_err());
-        assert!(parse_telemetry_report(&telemetry_json(0.0, 8, 25.0)).is_err());
-    }
-
-    #[test]
-    fn telemetry_events_per_round_gates_both_directions() {
-        let base = parse_telemetry_report(&telemetry_json(20.0, 8, 25.0)).unwrap();
-        // Within tolerance either way: passes.
-        for close in [18.0, 22.0] {
-            let fresh = parse_telemetry_report(&telemetry_json(close, 8, 25.0)).unwrap();
-            let mut out = GateOutcome::default();
-            compare_telemetry(&mut out, &base, &fresh);
-            assert!(out.ok(), "{close}: {:?}", out.regressions);
-        }
-        // Instrumentation fell off a path (-25%): fails.
-        let lost = parse_telemetry_report(&telemetry_json(15.0, 8, 25.0)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_telemetry(&mut out, &base, &lost);
-        assert!(!out.ok());
-        // Control plane got chatty (+30%): fails.
-        let chatty = parse_telemetry_report(&telemetry_json(26.0, 8, 25.0)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_telemetry(&mut out, &base, &chatty);
-        assert!(!out.ok());
-        // The deterministic round count must match exactly.
-        let drifted = parse_telemetry_report(&telemetry_json(20.0, 9, 25.0)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_telemetry(&mut out, &base, &drifted);
-        assert!(!out.ok());
-        assert!(out.regressions.iter().any(|r| r.contains("rounds")));
-        // Slow machine: emit cost tripled — warns, never gates.
-        let slow = parse_telemetry_report(&telemetry_json(20.0, 8, 75.0)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_telemetry(&mut out, &base, &slow);
-        assert!(out.ok(), "{:?}", out.regressions);
-        assert!(out.warnings.iter().any(|w| w.contains("emit_wall_ns")));
-    }
-
-    fn matrix_row(name: &str, pr: bool, passed: bool, rounds: u64, kills: u64) -> String {
-        let failures = if passed { "" } else { "\"chain torn\"" };
-        format!(
-            "{{\"name\": \"{name}\", \"app\": \"ring\", \"vendor\": \"MPICH\", \"pr\": {pr}, \
-             \"passed\": {passed}, \"recovery_rounds\": {rounds}, \"kills\": {kills}, \
-             \"epochs\": 3, \"put_retries\": 0, \"stalls\": 0, \"elections\": 0, \
-             \"failures\": [{failures}]}}"
-        )
-    }
-
-    fn matrix_json_doc(suite: &str, rows: &[String]) -> String {
-        format!(
-            "{{\"suite\": \"{suite}\", \"spec_scenarios\": 24, \"scenarios\": [{}]}}",
-            rows.join(", ")
-        )
-    }
-
-    fn matrix_base() -> MatrixReport {
-        let rows = vec![
-            matrix_row("a-storm", true, true, 1, 1),
-            matrix_row("b-quiet", false, true, 0, 0),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        parse_matrix_report(&matrix_json_doc("full", &rows)).unwrap()
-    }
-
-    #[test]
-    fn matrix_schema_accepts_wellformed_and_rejects_malformed() {
-        let base = matrix_base();
-        assert_eq!(base.scenarios.len(), 3);
-        assert_eq!(base.spec_scenarios, 24.0);
-        // passed contradicting the failure list is a schema error.
-        let lie = matrix_json_doc("full", &[matrix_row("a", true, true, 0, 0)])
-            .replace("\"failures\": []", "\"failures\": [\"broken\"]");
-        assert!(parse_matrix_report(&lie).is_err());
-        // Unknown suite, unknown keys, duplicate names, empty rows.
-        let rows = vec![matrix_row("a", true, true, 0, 0)];
-        assert!(parse_matrix_report(&matrix_json_doc("nightly", &rows)).is_err());
-        let unknown = matrix_json_doc("pr", &rows).replace("\"kills\"", "\"killz\"");
-        assert!(parse_matrix_report(&unknown).is_err());
-        let dup = vec![
-            matrix_row("a", true, true, 0, 0),
-            matrix_row("a", true, true, 0, 0),
-        ];
-        assert!(parse_matrix_report(&matrix_json_doc("pr", &dup)).is_err());
-        assert!(parse_matrix_report(
-            "{\"suite\": \"pr\", \"spec_scenarios\": 24, \
-             \"scenarios\": []}"
-        )
-        .is_err());
-        // More executed rows than the spec declares is a schema error.
-        let overfull = matrix_json_doc("pr", &rows).replace("24", "0.5");
-        assert!(parse_matrix_report(&overfull).is_err());
-    }
-
-    #[test]
-    fn matrix_gate_requires_exact_rows_and_pass_states() {
-        let base = matrix_base();
-        // The full suite re-run matches exactly: passes.
-        let fresh = matrix_base();
-        let mut out = GateOutcome::default();
-        compare_matrix(&mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
-        // The PR suite runs exactly the pr=true subset: passes.
-        let pr_rows = vec![
-            matrix_row("a-storm", true, true, 1, 1),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        let fresh = parse_matrix_report(&matrix_json_doc("pr", &pr_rows)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_matrix(&mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
-        // A failed scenario is a regression naming its failures.
-        let broken = vec![
-            matrix_row("a-storm", true, false, 1, 1),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        let fresh = parse_matrix_report(&matrix_json_doc("pr", &broken)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_matrix(&mut out, &base, &fresh);
-        assert!(!out.ok());
-        assert!(out.regressions.iter().any(|r| r.contains("chain torn")));
-        // A missing row fails the row-set check.
-        let short = vec![matrix_row("a-storm", true, true, 1, 1)];
-        let fresh = parse_matrix_report(&matrix_json_doc("pr", &short)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_matrix(&mut out, &base, &fresh);
-        assert!(!out.ok());
-        // Recovery rounds are deterministic and must match exactly.
-        let drifted = vec![
-            matrix_row("a-storm", true, true, 2, 1),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        let fresh = parse_matrix_report(&matrix_json_doc("pr", &drifted)).unwrap();
-        let mut out = GateOutcome::default();
-        compare_matrix(&mut out, &base, &fresh);
-        assert!(!out.ok());
-        assert!(out
-            .regressions
+        let slow = with(&base, "scale/cluster/wall_ms", 15.0);
+        assert!(passes(&base, &slow)
+            .warnings
             .iter()
-            .any(|r| r.contains("recovery_rounds")));
-        // Spec shrinking below the floor fails even if rows match.
-        let mut small_base = matrix_base();
-        small_base.spec_scenarios = 12.0;
-        let mut small_fresh = matrix_base();
-        small_fresh.spec_scenarios = 12.0;
-        let mut out = GateOutcome::default();
-        compare_matrix(&mut out, &small_base, &small_fresh);
-        assert!(!out.ok());
-        assert!(out.regressions.iter().any(|r| r.contains(">= 24")));
-        // Observation drift (epochs) warns but never gates.
-        let obs = matrix_json_doc(
-            "pr",
-            &[
-                matrix_row("a-storm", true, true, 1, 1),
-                matrix_row("c-leader", true, true, 0, 0),
-            ],
-        )
-        .replacen("\"epochs\": 3", "\"epochs\": 4", 1);
-        let fresh = parse_matrix_report(&obs).unwrap();
-        let mut out = GateOutcome::default();
-        compare_matrix(&mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
-        assert!(out.warnings.iter().any(|w| w.contains("epochs")));
+            .any(|w| w.contains("cluster/wall_ms")));
+        unusable(&base, &without(&base, "scale/cluster/wall_ms"), "missing");
     }
 
     #[test]
     fn tree_losing_to_flat_at_max_ranks_fails_the_gate() {
-        let base = parse_scale_report(&scale_json(1.0, 1024)).unwrap();
-        // Same-run shape check: tree 60 ms vs flat 40 ms at 1024 ranks is
-        // beyond the headroom — the topology regressed, whatever the
-        // machine.
-        let inverted = scale_json(1.0, 1024).replace("\"tree_ms\": 12.0", "\"tree_ms\": 60.0");
-        let fresh = parse_scale_report(&inverted).unwrap();
-        let mut out = GateOutcome::default();
-        compare_scale(&mut out, &base, &fresh);
-        assert!(!out.ok());
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("lost to the flat barrier")));
+        let base = scale_report(Suite::Full, 1024, 1.0);
+        // Tree 60 ms vs flat 40 ms at the largest world is beyond the
+        // ceiling — the topology regressed, whatever the machine.
+        let inverted = with(&base, "scale/rendezvous/tree_over_flat", 1.5);
+        fails(
+            &base,
+            &inverted,
+            "tree_over_flat: 1.5 is above the ceiling 1.25",
+        );
         // Tree merely within the headroom (44 ms vs flat 40 ms) passes.
-        let close = scale_json(1.0, 1024).replace("\"tree_ms\": 12.0", "\"tree_ms\": 44.0");
-        let fresh = parse_scale_report(&close).unwrap();
-        let mut out = GateOutcome::default();
-        compare_scale(&mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
+        passes(&base, &with(&base, "scale/rendezvous/tree_over_flat", 1.1));
+    }
+
+    fn telemetry_report(events_per_round: f64, rounds: f64, emit_ns: f64) -> Report {
+        let mut r = Report::new(Suite::Full);
+        r.push(
+            "telemetry/events_per_round",
+            events_per_round,
+            "events/round",
+            Check::Band,
+            EVERY_SUITE,
+        );
+        r.push(
+            "telemetry/rounds",
+            rounds,
+            "count",
+            Check::Exact,
+            EVERY_SUITE,
+        );
+        r.push(
+            "telemetry/emit_wall_ns",
+            emit_ns,
+            "ns",
+            Check::WarnRise,
+            EVERY_SUITE,
+        );
+        r
+    }
+
+    #[test]
+    fn telemetry_events_per_round_gates_both_directions() {
+        let base = telemetry_report(20.0, 8.0, 25.0);
+        // Within tolerance either way: passes.
+        for close in [18.0, 22.0] {
+            passes(&base, &telemetry_report(close, 8.0, 25.0));
+        }
+        // Instrumentation fell off a path (-25%), or the control plane got
+        // chatty (+30%): fails.
+        for far in [15.0, 26.0] {
+            fails(&base, &telemetry_report(far, 8.0, 25.0), "events_per_round");
+        }
+        // The deterministic round count must match exactly.
+        fails(
+            &base,
+            &telemetry_report(20.0, 9.0, 25.0),
+            "telemetry/rounds",
+        );
+        // Slow machine: emit cost tripled — warns, never gates.
+        let out = passes(&base, &telemetry_report(20.0, 8.0, 75.0));
+        assert!(out.warnings.iter().any(|w| w.contains("emit_wall_ns")));
+        // A zero baseline is unusable.
+        unusable(&telemetry_report(0.0, 8.0, 25.0), &base, "zero baseline");
+    }
+
+    fn scenario(name: &str, pr: bool, passed: bool, rounds: u64, kills: u64) -> ScenarioResult {
+        ScenarioResult {
+            name: name.into(),
+            app: "ring".into(),
+            vendor: Vendor::Mpich,
+            pr,
+            failures: if passed {
+                vec![]
+            } else {
+                vec!["chain torn".into()]
+            },
+            recovery_rounds: rounds,
+            kills,
+            epochs: 3,
+            put_retries: 0,
+            stalls: 0,
+            elections: 0,
+        }
+    }
+
+    /// A three-row spec whose rows 0 and 2 form the PR subset.
+    fn matrix_rows() -> Vec<(usize, ScenarioResult)> {
+        vec![
+            (0, scenario("a-storm", true, true, 1, 1)),
+            (1, scenario("b-quiet", false, true, 0, 0)),
+            (2, scenario("c-leader", true, true, 0, 0)),
+        ]
+    }
+
+    fn pr_rows() -> Vec<(usize, ScenarioResult)> {
+        matrix_rows().into_iter().filter(|(_, r)| r.pr).collect()
+    }
+
+    #[test]
+    fn matrix_gate_requires_exact_rows_and_pass_states() {
+        let base = matrix_report(Suite::Full, 24, &matrix_rows());
+        // The full suite re-run matches exactly: passes.
+        passes(&base, &matrix_report(Suite::Full, 24, &matrix_rows()));
+        // The PR suite runs exactly the pr=true subset: passes.
+        passes(&base, &matrix_report(Suite::Pr, 24, &pr_rows()));
+        // A failed scenario is a regression.
+        let mut broken = pr_rows();
+        broken[0].1 = scenario("a-storm", true, false, 1, 1);
+        fails(
+            &base,
+            &matrix_report(Suite::Pr, 24, &broken),
+            "matrix/a-storm/ring/MPICH/passed",
+        );
+        // A missing row makes the report unusable.
+        let short = &pr_rows()[..1];
+        unusable(&base, &matrix_report(Suite::Pr, 24, short), "c-leader");
+        // Recovery rounds and kills are deterministic and must match.
+        let mut drifted = pr_rows();
+        drifted[0].1.recovery_rounds = 2;
+        drifted[1].1.kills = 1;
+        let fresh = matrix_report(Suite::Pr, 24, &drifted);
+        fails(&base, &fresh, "a-storm/ring/MPICH/recovery_rounds");
+        fails(&base, &fresh, "c-leader/ring/MPICH/kills");
+        // A spec shrinking below the floor fails even if rows match.
+        let small = matrix_report(Suite::Full, 12, &matrix_rows());
+        fails(&small, &small, "spec_coverage: 12 is below the floor 24");
+        // ...and any change to the spec size needs a baseline refresh.
+        fails(
+            &base,
+            &matrix_report(Suite::Pr, 25, &pr_rows()),
+            "spec_scenarios",
+        );
+        // Observation drift (epochs) warns but never gates.
+        let mut obs = pr_rows();
+        obs[0].1.epochs = 4;
+        let out = passes(&base, &matrix_report(Suite::Pr, 24, &obs));
+        assert!(out
+            .warnings
+            .iter()
+            .any(|w| w.contains("a-storm/ring/MPICH/epochs")));
+    }
+
+    #[test]
+    fn matrix_rows_keep_their_order_and_identity() {
+        let base = matrix_report(Suite::Full, 24, &matrix_rows());
+        // Reordered rows fail on their spec positions.
+        let mut reordered = matrix_rows();
+        reordered.swap(0, 2);
+        for (i, row) in reordered.iter_mut().enumerate() {
+            row.0 = i;
+        }
+        fails(
+            &base,
+            &matrix_report(Suite::Full, 24, &reordered),
+            "a-storm/ring/MPICH/position",
+        );
+        // A row that changed vendor or app is a different row.
+        let mut moved = pr_rows();
+        moved[0].1.vendor = Vendor::OpenMpi;
+        unusable(
+            &base,
+            &matrix_report(Suite::Pr, 24, &moved),
+            "a-storm/ring/MPICH",
+        );
+        let mut renamed = matrix_rows();
+        renamed[1].1.app = "wave".into();
+        unusable(
+            &base,
+            &matrix_report(Suite::Full, 24, &renamed),
+            "b-quiet/ring",
+        );
+        // A row that left the PR subset drifted suites.
+        let mut demoted = matrix_rows();
+        demoted[2].1.pr = false;
+        unusable(&base, &matrix_report(Suite::Full, 24, &demoted), "drifted");
+    }
+
+    const BASELINES: [(&str, &str); 4] = [
+        (
+            "BENCH_ckpt.json",
+            include_str!("../../../benches/baselines/BENCH_ckpt.json"),
+        ),
+        (
+            "BENCH_scale.json",
+            include_str!("../../../benches/baselines/BENCH_scale.json"),
+        ),
+        (
+            "BENCH_telemetry.json",
+            include_str!("../../../benches/baselines/BENCH_telemetry.json"),
+        ),
+        (
+            "BENCH_matrix.json",
+            include_str!("../../../benches/baselines/BENCH_matrix.json"),
+        ),
+    ];
+
+    /// `report` as a run of `suite` would emit it.
+    fn projected(report: &Report, suite: Suite) -> Report {
+        let mut r = report.clone();
+        r.suite = suite;
+        r.metrics.retain(|m| m.suites.contains(&suite));
+        r
+    }
+
+    #[test]
+    fn committed_baselines_parse_and_pass_against_themselves() {
+        for (file, text) in BASELINES {
+            let base = Report::parse(text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert_eq!(base.suite, Suite::Full, "{file}");
+            for suite in [Suite::Full, Suite::Pr] {
+                let out = passes(&base, &projected(&base, suite));
+                assert!(out.warnings.is_empty(), "{file}: {:?}", out.warnings);
+            }
+        }
+    }
+
+    #[test]
+    fn committed_scale_baseline_needs_512_ranks_on_pr() {
+        let base = Report::parse(BASELINES[1].1).unwrap();
+        let pr = projected(&base, Suite::Pr);
+        assert!(pr.get("scale/allreduce/512/MPICH").is_some());
+        assert!(pr.get("scale/allreduce/1024/MPICH").is_none());
+        let mut capped = pr.clone();
+        capped.metrics.retain(|m| !m.name.contains("/512/"));
+        unusable(&base, &capped, "/512/");
+    }
+
+    #[test]
+    fn committed_baselines_carry_the_old_gate_values() {
+        // The values the per-artifact gate computed from the committed
+        // files before they became reports, at full f64 precision.
+        let ratio = |num: f64, den: f64| num / den.max(1.0);
+        let ckpt = Report::parse(BASELINES[0].1).unwrap();
+        for (w, full, delta, raw, dirty, hashed, image, shipped) in [
+            (
+                "wave_mpi", 459698.0, 276608.0, 353564.0, 321398.0, 874668.0, 874668.0, 322436.0,
+            ),
+            (
+                "CoMD", 165983.0, 91096.0, 95744.0, 74061.0, 491508.0, 491508.0, 116114.0,
+            ),
+        ] {
+            for (what, want) in [
+                ("delta_ratio", ratio(full, delta)),
+                ("hash_skip_ratio", ratio(hashed, dirty)),
+                ("compression_ratio", ratio(raw, delta)),
+                ("tier_dedup_ratio", ratio(image, shipped)),
+            ] {
+                let name = format!("ckpt/{w}/{what}");
+                assert_eq!(ckpt.get(&name).unwrap().value, want, "{name}");
+            }
+        }
+        let scale = Report::parse(BASELINES[1].1).unwrap();
+        let tree_over_flat = scale.get("scale/rendezvous/tree_over_flat").unwrap();
+        assert_eq!(tree_over_flat.value, 23.504910 / 31.126514);
+        assert_eq!(tree_over_flat.check, Check::AtMost(1.25));
     }
 }

@@ -1,8 +1,9 @@
 //! # stool-bench — the paper's evaluation, regenerated
 //!
 //! One harness per figure of the paper's §5, plus ablations for the design
-//! choices DESIGN.md calls out. Each `fig*` binary prints the same
-//! rows/series the paper reports; `EXPERIMENTS.md` records paper-vs-measured.
+//! choices behind the overheads it reports. Each `fig*` binary prints the
+//! same rows/series the paper reports, followed by the paper's own numbers
+//! for comparison.
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -15,14 +16,19 @@
 //! | `abl_layers` | native vs +muk vs +mana vs +muk+mana |
 //! | `abl_algorithms` | vendor collective algorithm families at fixed network |
 //! | `abl_drain` | checkpoint drain cost vs in-flight messages |
+//! | `abl_detred` | canonical rank-ordered reductions: bit-identical across vendors |
+//! | `scenario` | the declarative fault matrix → `BENCH_matrix.json` |
+//! | `benchgate` | the CI gate over every `BENCH_*.json` report |
 //!
 //! Criterion benches (`cargo bench`) measure the *real* (wall-clock) cost
 //! of the building blocks: collectives on the simulator, handle
 //! translation, checkpoint image encode/decode, and the applications.
-//! The `store` and `scale` benches additionally emit `BENCH_ckpt.json` /
-//! `BENCH_scale.json`, which the `benchgate` binary ([`gate`]) validates
-//! strictly and compares against the committed baselines under
-//! `benches/baselines/` — the CI perf-regression gate (see `docs/ci.md`).
+//! The `store`, `scale` and `telemetry` benches additionally emit
+//! `BENCH_ckpt.json`, `BENCH_scale.json` and `BENCH_telemetry.json`. Every
+//! such artifact is one [`gate::Report`] schema, which the `benchgate`
+//! binary validates strictly and diffs by metric name against the
+//! committed baselines under `benches/baselines/` — the CI perf-regression
+//! gate (see `docs/ci.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

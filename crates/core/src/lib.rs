@@ -71,8 +71,8 @@ pub use mana_sim::ManaConfig;
 pub use muk::{MukOverhead, Vendor};
 pub use program::{AppCtx, Flow, MpiProgram};
 pub use scenario::{
-    matrix_json, parse_matrix, run_scenario, DurabilityKind, FaultSchedule, KillEvent,
-    ScenarioResult, ScenarioSpec, Straggler, Victims,
+    parse_matrix, run_scenario, DurabilityKind, FaultSchedule, KillEvent, ScenarioResult,
+    ScenarioSpec, Straggler, Victims,
 };
 pub use session::{
     Checkpointer, CkptPolicy, DurabilityPolicy, FaultPlan, Recovery, ReplicaPolicy,

@@ -3,10 +3,9 @@
 //! An [`MpiProgram`] is the "application binary": written once against the
 //! standard ABI, with its evolving state in checkpointable [`Memory`] and a
 //! step-structured main loop that calls [`AppCtx::checkpoint_point`] at
-//! safe points. See DESIGN.md §1 for why this cooperative-memory model is
-//! the safe-Rust substitute for MANA's raw page capture — the MPI-facing
-//! behaviour (wrappers, drain, virtual ids, cross-vendor restart) is
-//! unchanged.
+//! safe points. This cooperative-memory model is the safe-Rust substitute
+//! for MANA's raw page capture — the MPI-facing behaviour (wrappers, drain,
+//! virtual ids, cross-vendor restart) is unchanged.
 
 use std::rc::Rc;
 use std::sync::Arc;

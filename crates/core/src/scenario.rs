@@ -24,9 +24,9 @@
 //!    leader-kills as replica recoveries.
 //!
 //! The `scenario` binary in `stool-bench` runs a committed matrix
-//! (`benches/scenarios/matrix.toml`) and emits one structured JSON result
-//! per row into `BENCH_matrix.json`, which `benchgate --matrix` gates
-//! exactly. See `docs/scenarios.md`.
+//! (`benches/scenarios/matrix.toml`) and emits each row's metrics into
+//! the `BENCH_matrix.json` report, which `benchgate` gates exactly. See
+//! `docs/scenarios.md`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -1277,64 +1277,6 @@ fn memories_differ(expect: &[Memory], got: &[Memory]) -> Option<String> {
     None
 }
 
-// ---------------------------------------------------------------------------
-// JSON emission (consumed by benchgate --matrix)
-// ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a matrix run as the `BENCH_matrix.json` document `benchgate
-/// --matrix` validates: the suite that ran, the total scenario count of
-/// the spec file, and one structured row per executed scenario.
-pub fn matrix_json(suite: &str, spec_scenarios: usize, results: &[ScenarioResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(suite)));
-    out.push_str(&format!("  \"spec_scenarios\": {spec_scenarios},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let failures: Vec<String> = r
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"app\": \"{}\", \"vendor\": \"{}\", \"pr\": {}, \
-             \"passed\": {}, \"recovery_rounds\": {}, \"kills\": {}, \"epochs\": {}, \
-             \"put_retries\": {}, \"stalls\": {}, \"elections\": {}, \"failures\": [{}]}}{}\n",
-            json_escape(&r.name),
-            json_escape(&r.app),
-            r.vendor.name(),
-            r.pr,
-            r.passed(),
-            r.recovery_rounds,
-            r.kills,
-            r.epochs,
-            r.put_retries,
-            r.stalls,
-            r.elections,
-            failures.join(", "),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1503,27 +1445,5 @@ fault = "straggle rank=2 from=4 until=8 delay_us=500"
         ] {
             assert!(parse_matrix(bad).is_err(), "should reject: {why}");
         }
-    }
-
-    #[test]
-    fn matrix_json_shape_round_trips_escapes() {
-        let r = ScenarioResult {
-            name: "a-b".into(),
-            app: "ring".into(),
-            vendor: Vendor::Mpich,
-            pr: true,
-            failures: vec!["a \"quoted\" reason".into()],
-            recovery_rounds: 1,
-            kills: 1,
-            epochs: 2,
-            put_retries: 0,
-            stalls: 0,
-            elections: 0,
-        };
-        let doc = matrix_json("pr", 24, &[r]);
-        assert!(doc.contains("\"suite\": \"pr\""));
-        assert!(doc.contains("\"spec_scenarios\": 24"));
-        assert!(doc.contains("\\\"quoted\\\""));
-        assert!(doc.contains("\"passed\": false"));
     }
 }

@@ -13,8 +13,8 @@
 //!   checkpointing system wants explicit control of its wire format anyway);
 //! * [`memory`] — [`memory::Memory`]: the "upper-half memory" abstraction,
 //!   named typed segments that stand in for the application's writable
-//!   address space (see DESIGN.md §1 for why Rust needs this cooperative
-//!   substitute for raw page capture);
+//!   address space (safe Rust cannot capture raw pages, so programs keep
+//!   their checkpointable state here cooperatively);
 //! * [`image`] — per-rank checkpoint images ([`image::RankImage`]) grouped
 //!   into a world image ([`image::WorldImage`]), with file save/load;
 //! * [`coordinator`] — the checkpoint coordinator: epoch-based requests,
